@@ -65,6 +65,9 @@ ArmResult run_arm(Arm arm, double loss_rate, std::size_t probes,
       break;
   }
 
+  const auto assets = PatternAssetsRegistry::global().get_or_create(
+      table, CssConfig{}.search_grid, CssConfig{}.domain);
+
   // Each pose is an independent training episode (the campaigns, like the
   // paper's, re-train the link after every head move): a fresh session per
   // pose, with the previous episode's override cleared.
@@ -80,19 +83,20 @@ ArmResult run_arm(Arm arm, double loss_rate, std::size_t probes,
                                              kRxQuasiOmniSectorId));
     }
     if (driver.sector_forced()) driver.clear_forced_sector();
-    CssDaemon daemon(driver, table, config, Rng(500 + episode++));
+    CssDaemon daemon(assets, config);
+    LinkSession& session = daemon.add_link(0, driver, Rng(500 + episode++));
 
     // The full-sweep arm needs one throwaway round to trip the fallback;
     // exclude it from the average so the arm is pure SSW.
     if (arm == Arm::kFullSweep) {
       link.transmit_sweep(*venue.dut, *venue.peer,
-                          probing_burst_schedule(daemon.next_probe_subset()));
-      daemon.process_sweep();
+                          probing_burst_schedule(session.next_probe_subset()));
+      session.process_sweep();
     }
     for (int r = 0; r < rounds_per_pose; ++r) {
       link.transmit_sweep(*venue.dut, *venue.peer,
-                          probing_burst_schedule(daemon.next_probe_subset()));
-      daemon.process_sweep();
+                          probing_burst_schedule(session.next_probe_subset()));
+      session.process_sweep();
       // The beam the peer steers the DUT to: the standing override, or the
       // firmware's stock argmax when the session withheld every install.
       // Dead rounds (everything lost) keep the previous beam, exactly like

@@ -14,6 +14,7 @@
 #include "src/common/parallel.hpp"
 #include "src/antenna/synthesis.hpp"
 #include "src/core/css.hpp"
+#include "src/core/selector.hpp"
 #include "src/core/ssw.hpp"
 #include "src/core/subset_policy.hpp"
 #include "src/antenna/codebook_io.hpp"
@@ -47,7 +48,7 @@ void BM_CssSelect(benchmark::State& state) {
   const CompressiveSectorSelector css(shared_table());
   const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes));
+    benchmark::DoNotOptimize(CssSelector(css).select(probes));
   }
 }
 BENCHMARK(BM_CssSelect)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
@@ -60,7 +61,7 @@ void BM_CssSelectGridResolution(benchmark::State& state) {
   const CompressiveSectorSelector css(shared_table(), config);
   const auto probes = make_probes(14, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes));
+    benchmark::DoNotOptimize(CssSelector(css).select(probes));
   }
 }
 BENCHMARK(BM_CssSelectGridResolution)->Arg(5)->Arg(15)->Arg(30)->Arg(60);

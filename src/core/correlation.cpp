@@ -121,7 +121,7 @@ std::size_t CorrelationEngine::usable_probe_count(
     std::span<const SectorReading> readings) const {
   std::size_t n = 0;
   for (const SectorReading& r : readings) {
-    if (sector_slot(r.sector_id) >= 0) ++n;
+    if (usable_slot(r) >= 0) ++n;
   }
   return n;
 }
@@ -137,7 +137,7 @@ void CorrelationEngine::collect_probes_into(std::span<const SectorReading> readi
   if (need_snr) out.snr.reserve(readings.size());
   if (need_rssi) out.rssi.reserve(readings.size());
   for (const SectorReading& r : readings) {
-    const int slot = sector_slot(r.sector_id);
+    const int slot = usable_slot(r);
     if (slot < 0) {
       ++out.dropped;
       continue;
@@ -285,9 +285,10 @@ Grid2D CorrelationEngine::combined_surface(
   return out;
 }
 
-const SubsetPanel& CorrelationEngine::resolve_panel(CorrelationWorkspace& ws) const {
-  if (!ws.panel_ || ws.panel_->slots != ws.probes_.slots) {
-    ws.panel_ = matrix_.panel(ws.probes_.slots);
+const SubsetPanel& CorrelationEngine::resolve_panel(const std::vector<int>& slots,
+                                                     CorrelationWorkspace& ws) const {
+  if (!ws.panel_ || ws.panel_->slots != slots) {
+    ws.panel_ = matrix_.panel(slots);
     ++ws.growth_events_;  // subset switch: cold path by definition
   }
   return *ws.panel_;
@@ -295,157 +296,8 @@ const SubsetPanel& CorrelationEngine::resolve_panel(CorrelationWorkspace& ws) co
 
 CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
     std::span<const SectorReading> readings, CorrelationWorkspace& ws) const {
-  const std::size_t caps_before = ws.probes_.slots.capacity() +
-                                  ws.probes_.snr.capacity() +
-                                  ws.probes_.rssi.capacity();
-  collect_probes_into(readings, true, true, ws.probes_);
-  if (ws.probes_.slots.capacity() + ws.probes_.snr.capacity() +
-          ws.probes_.rssi.capacity() !=
-      caps_before) {
-    ++ws.growth_events_;
-  }
-  TALON_EXPECTS(ws.probes_.slots.size() >= 2);
-
-  double snr_norm_sq = 0.0;
-  for (double v : ws.probes_.snr) snr_norm_sq += v * v;
-  TALON_EXPECTS(snr_norm_sq > 0.0);
-  const double snr_norm = std::sqrt(snr_norm_sq);
-
-  double rssi_norm_sq = 0.0;
-  for (double v : ws.probes_.rssi) rssi_norm_sq += v * v;
-  TALON_EXPECTS(rssi_norm_sq > 0.0);
-  const double rssi_norm = std::sqrt(rssi_norm_sq);
-
-  const SubsetPanel& pan = resolve_panel(ws);
-  const std::size_t m_count = pan.m();
-  const double* ps = ws.probes_.snr.data();
-  const double* pr = ws.probes_.rssi.data();
-  const double* norms = pan.norms_sq.data();
-  const double inv_snr_norm = 1.0 / snr_norm;
-  const double inv_rssi_norm = 1.0 / rssi_norm;
-
-  // Probe magnitudes once per call; every screen below dots them against
-  // the panel's int16 screening sidecar.
-  ws.ensure_size(ws.abs_snr_, m_count);
-  ws.ensure_size(ws.abs_rssi_, m_count);
-  for (std::size_t m = 0; m < m_count; ++m) {
-    ws.abs_snr_[m] = std::abs(ps[m]);
-    ws.abs_rssi_[m] = std::abs(pr[m]);
-  }
-  const double* abs_ps = ws.abs_snr_.data();
-  const double* abs_pr = ws.abs_rssi_.data();
-
-  // Level 1: bound every coarse tile and order them best-bound-first, so
-  // the running best is (almost always) the true peak after the first
-  // tile and everything else prunes.
-  const std::size_t nc = pan.coarse_tiles;
-  ws.ensure_size(ws.coarse_bound_, nc);
-  ws.ensure_size(ws.coarse_order_, nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    ws.coarse_bound_[c] =
-        detail::screen_tile_q(abs_ps, abs_pr, pan.coarse_q.data() + c * m_count,
-                              pan.coarse_q_scale[c], pan.coarse_sqrt_min_norm[c],
-                              m_count, inv_snr_norm, inv_rssi_norm)
-            .bound;
-    ws.coarse_order_[c] = static_cast<std::uint32_t>(c);
-  }
-  std::sort(ws.coarse_order_.begin(), ws.coarse_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (ws.coarse_bound_[a] != ws.coarse_bound_[b]) {
-                return ws.coarse_bound_[a] > ws.coarse_bound_[b];
-              }
-              return a < b;
-            });
-
-  // The skip rules below are exact, not heuristic: a tile is skipped only
-  // when its bound proves no point in it can beat `best` -- including the
-  // lowest-index tie rule Grid2D::peak applies -- so the result matches
-  // the full-surface argmax bit for bit.
-  double best = -1.0;  // below any W; the first visited tile always evaluates
-  std::size_t best_g = 0;
-  double dsg[kTile];
-
-  for (const std::uint32_t c : ws.coarse_order_) {
-    const double cb = ws.coarse_bound_[c];
-    if (cb < best) break;  // ordered: every later coarse bound is lower
-    const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
-    if (cb == best && t0 * kTile > best_g) continue;  // could only tie at higher g
-    const std::size_t t1 = std::min(t0 + SubsetPanel::kFinePerCoarse, pan.fine_tiles);
-    const std::size_t nf = t1 - t0;
-
-    // Level 2: rebound the coarse tile's fine tiles and visit those
-    // best-first too.
-    detail::TileScreen screens[SubsetPanel::kFinePerCoarse];
-    std::size_t order[SubsetPanel::kFinePerCoarse];
-    for (std::size_t k = 0; k < nf; ++k) {
-      const std::size_t t = t0 + k;
-      screens[k] = detail::screen_tile_q(
-          abs_ps, abs_pr, pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
-          pan.fine_sqrt_min_norm[t], m_count, inv_snr_norm, inv_rssi_norm);
-      order[k] = k;
-    }
-    for (std::size_t k = 1; k < nf; ++k) {  // insertion sort: nf <= 8
-      const std::size_t v = order[k];
-      std::size_t j = k;
-      while (j > 0 && screens[order[j - 1]].bound < screens[v].bound) {
-        order[j] = order[j - 1];
-        --j;
-      }
-      order[j] = v;
-    }
-
-    for (std::size_t k = 0; k < nf; ++k) {
-      const detail::TileScreen& s = screens[order[k]];
-      if (s.bound < best) break;
-      const std::size_t t = t0 + order[k];
-      const std::size_t g0 = t * kTile;
-      if (s.bound == best && g0 > best_g) continue;
-      const std::size_t count = std::min(kTile, pan.points - g0);
-      const double* block = pan.tile_values(t);
-
-      // Dense SNR dots for the whole tile (the padded tail just computes
-      // zeros that `count` discards).
-      tile_dots(block, ps, nullptr, m_count, dsg, nullptr);
-
-      for (std::size_t gi = 0; gi < count; ++gi) {
-        const std::size_t g = g0 + gi;
-        const double n = norms[g];
-        double w = 0.0;
-        if (n > 0.0) {
-          // Multiply-only per-point screen (same slack argument as the
-          // tile bound): only survivors pay the RSSI dot, the sqrt and
-          // the divisions.
-          const double cs_scr = dsg[gi] * s.rs;
-          const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
-          if (scr < best || (scr == best && g > best_g)) continue;
-          double dr = 0.0;
-          const double* col = block + gi;
-          for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[m * kTile];
-          const double x_norm = std::sqrt(n);
-          const double cs = dsg[gi] / (snr_norm * x_norm);
-          const double cr = dr / (rssi_norm * x_norm);
-          w = (cs * cs) * (cr * cr);
-        }
-        if (w > best || (w == best && g < best_g)) {
-          best = w;
-          best_g = g;
-        }
-      }
-    }
-  }
-
-  ArgmaxResult result{best_g, best, matrix_.directions()[best_g]};
-#ifndef NDEBUG
-  {
-    // The whole point of the bound algebra above is that pruning changes
-    // nothing; verify against the reference surface when asserts are on.
-    const Grid2D reference = combined_surface(readings);
-    const std::vector<double>& rv = reference.values();
-    const auto it = std::max_element(rv.begin(), rv.end());
-    assert(static_cast<std::size_t>(it - rv.begin()) == result.index);
-    assert(*it == result.value);
-  }
-#endif
+  ArgmaxResult result;
+  combined_argmax_batch(std::span(&readings, 1), std::span(&result, 1), ws);
   return result;
 }
 
@@ -456,28 +308,11 @@ CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
 }
 
 void CorrelationEngine::argmax_group(
-    std::span<const std::uint32_t> members,
+    std::span<const std::uint32_t> members, const SubsetPanel& pan,
     std::span<const std::span<const SectorReading>> sweeps,
     std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const {
   (void)sweeps;  // only the debug-build cross-check below reads them
   const std::size_t k_members = members.size();
-  const ProbeVectors& first = ws.batch_probes_[members[0]];
-
-  // Resolve the group's shared panel. Reuse the workspace-cached panel
-  // when it matches; otherwise go through the matrix cache WITHOUT
-  // displacing ws.panel_ -- a multi-group batch would ping-pong it every
-  // call and turn the growth counter into noise. A cache hit under the
-  // shared lock allocates nothing, so the steady-state batch stays
-  // allocation-free either way.
-  std::shared_ptr<const SubsetPanel> local_panel;
-  const SubsetPanel* pan_ptr;
-  if (ws.panel_ && ws.panel_->slots == first.slots) {
-    pan_ptr = ws.panel_.get();
-  } else {
-    local_panel = matrix_.panel(first.slots);
-    pan_ptr = local_panel.get();
-  }
-  const SubsetPanel& pan = *pan_ptr;
   const std::size_t m_count = pan.m();
 
   // Per-member norms, probe magnitudes and running-best state.
@@ -515,9 +350,10 @@ void CorrelationEngine::argmax_group(
     ws.batch_best_g_[b] = 0;
   }
 
-  // Level 1: every coarse tile bounded for every member; tiles are walked
-  // in order of their best member bound, each member pruning by its own
-  // bound exactly as the single-sweep path does.
+  // Level 1: bound every coarse tile for every member and walk the tiles
+  // best-group-bound-first, so each member's running best is (almost
+  // always) its true peak after the first tile and everything else
+  // prunes. Each member prunes by its own bound.
   const std::size_t nc = pan.coarse_tiles;
   ws.ensure_size(ws.coarse_bound_, nc);
   ws.ensure_size(ws.coarse_order_, nc);
@@ -547,6 +383,10 @@ void CorrelationEngine::argmax_group(
               return a < b;
             });
 
+  // The skip rules below are exact, not heuristic: a member skips a tile
+  // only when its bound proves no point in it can beat the member's best
+  // -- including the lowest-index tie rule Grid2D::peak applies -- so
+  // each result matches the full-surface argmax bit for bit.
   ws.ensure_size(ws.batch_screens_, SubsetPanel::kFinePerCoarse * k_members);
   double dsg[kTile];
 
@@ -562,8 +402,8 @@ void CorrelationEngine::argmax_group(
     bool any_active = false;
     for (std::size_t b = 0; b < k_members; ++b) {
       const double mb = ws.batch_member_bound_[c * k_members + b];
-      // The single-sweep visit rule, per member: the tile can beat this
-      // member's best, or tie it at a lower grid index.
+      // The visit rule, per member: the tile can beat this member's best,
+      // or tie it at a lower grid index.
       const bool active =
           mb > ws.batch_best_[b] ||
           (mb == ws.batch_best_[b] && t0 * kTile <= ws.batch_best_g_[b]);
@@ -631,7 +471,7 @@ void CorrelationEngine::argmax_group(
 
       // The tile's values are walked back to back for every surviving
       // member while they are cache-hot -- this locality is the batch
-      // win; the per-member arithmetic is exactly the single-sweep path.
+      // win.
       for (std::size_t b = 0; b < k_members; ++b) {
         if (!ws.batch_tile_active_[b]) continue;
         const detail::TileScreen& s = ws.batch_screens_[order[k] * k_members + b];
@@ -647,6 +487,9 @@ void CorrelationEngine::argmax_group(
           const double n = norms[g];
           double w = 0.0;
           if (n > 0.0) {
+            // Multiply-only per-point screen (same slack argument as the
+            // tile bound): only survivors pay the RSSI dot, the sqrt and
+            // the divisions.
             const double cs_scr = dsg[gi] * s.rs;
             const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
             if (scr < best || (scr == best && g > best_g)) continue;
@@ -675,8 +518,10 @@ void CorrelationEngine::argmax_group(
         ArgmaxResult{g, ws.batch_best_[b], matrix_.directions()[g]};
 #ifndef NDEBUG
     {
-      // Same exactness contract as the single-sweep path, member by
-      // member: batching and quantized screening must change nothing.
+      // The whole point of the bound algebra is that pruning changes
+      // nothing -- whatever the grouping and the quantized screening --
+      // so verify every member against the reference surface when
+      // asserts are on.
       const Grid2D reference = combined_surface(sweeps[members[b]]);
       const std::vector<double>& rv = reference.values();
       const auto it = std::max_element(rv.begin(), rv.end());
@@ -717,35 +562,45 @@ void CorrelationEngine::combined_argmax_batch(
   for (std::size_t i = 0; i < n; ++i) {
     ws.batch_order_[i] = static_cast<std::uint32_t>(i);
   }
-  std::sort(ws.batch_order_.begin(), ws.batch_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::vector<int>& sa = ws.batch_probes_[a].slots;
-              const std::vector<int>& sb = ws.batch_probes_[b].slots;
-              if (sa == sb) return a < b;
-              return std::lexicographical_compare(sa.begin(), sa.end(),
-                                                  sb.begin(), sb.end());
-            });
+  auto slots_of = [&](std::size_t i) -> const std::vector<int>& {
+    return ws.batch_probes_[ws.batch_order_[i]].slots;
+  };
+  if (n > 1) {
+    std::sort(ws.batch_order_.begin(), ws.batch_order_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::vector<int>& sa = ws.batch_probes_[a].slots;
+                const std::vector<int>& sb = ws.batch_probes_[b].slots;
+                if (sa == sb) return a < b;
+                return std::lexicographical_compare(sa.begin(), sa.end(),
+                                                    sb.begin(), sb.end());
+              });
+  }
+  if (slots_of(0) == slots_of(n - 1)) {
+    // One group (every single-sweep call): the workspace panel follows
+    // it, so a caller re-probing one subset skips the matrix cache.
+    argmax_group(ws.batch_order_, resolve_panel(slots_of(0), ws), sweeps, out, ws);
+    return;
+  }
+  // Several groups: reuse the workspace panel when it matches, otherwise
+  // go through the matrix cache WITHOUT displacing ws.panel_ -- the
+  // groups would ping-pong it every call and turn the growth counter
+  // into noise. A cache hit under the shared lock allocates nothing, so
+  // the steady-state batch stays allocation-free either way.
   std::size_t i0 = 0;
   while (i0 < n) {
     std::size_t i1 = i0 + 1;
-    while (i1 < n && ws.batch_probes_[ws.batch_order_[i1]].slots ==
-                         ws.batch_probes_[ws.batch_order_[i0]].slots) {
-      ++i1;
+    while (i1 < n && slots_of(i1) == slots_of(i0)) ++i1;
+    std::shared_ptr<const SubsetPanel> local_panel;
+    const SubsetPanel* pan = ws.panel_.get();
+    if (!ws.panel_ || ws.panel_->slots != slots_of(i0)) {
+      local_panel = matrix_.panel(slots_of(i0));
+      pan = local_panel.get();
     }
     argmax_group(std::span<const std::uint32_t>(ws.batch_order_.data() + i0,
                                                 i1 - i0),
-                 sweeps, out, ws);
+                 *pan, sweeps, out, ws);
     i0 = i1;
   }
-}
-
-std::vector<CorrelationEngine::ArgmaxResult>
-CorrelationEngine::combined_argmax_batch(
-    std::span<const std::span<const SectorReading>> sweeps) const {
-  std::vector<ArgmaxResult> out(sweeps.size());
-  CorrelationWorkspace ws;
-  combined_argmax_batch(sweeps, std::span<ArgmaxResult>(out), ws);
-  return out;
 }
 
 std::vector<Grid2D> CorrelationEngine::combined_surface_batch(
@@ -839,14 +694,10 @@ std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(
   // reporting floor subtracted: clamped-at-floor readings otherwise add a
   // DC component that correlates with all-floor (unmeasurable) directions.
   const double floor_lin = db_to_linear(kSnrReportingFloorDb);
-  std::vector<int> slots;
-  std::vector<double> residual;
-  for (const SectorReading& r : readings) {
-    const int slot = sector_slot(r.sector_id);
-    if (slot < 0) continue;
-    slots.push_back(slot);
-    residual.push_back(std::max(0.0, db_to_linear(r.snr_db) - floor_lin));
-  }
+  ProbeVectors probes = collect_probes(readings, true, false);
+  const std::vector<int>& slots = probes.slots;
+  std::vector<double>& residual = probes.snr;
+  for (double& v : residual) v = std::max(0.0, v - floor_lin);
   TALON_EXPECTS(residual.size() >= 2);
   double initial_power = 0.0;
   for (double v : residual) initial_power += v;
@@ -932,13 +783,13 @@ std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(
     // the least-squares projection (powers are additive, so this is the
     // path's contribution).
     std::array<double, 64> row_buf;
+    std::vector<double> heap_buf;
     const double* fx;
     if (keep_dictionary) {
       fx = floored.data() + best_g * m_count;
     } else {
       // Dictionary was not kept: refloor the single winning row.
       const std::span<const double> row = matrix_.point(best_g);
-      std::vector<double> heap_buf;
       double* dst = row_buf.data();
       if (m_count > row_buf.size()) {
         heap_buf.resize(m_count);

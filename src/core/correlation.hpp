@@ -5,19 +5,25 @@
 // sectors and x(phi,theta) the vector of the same sectors' *measured*
 // pattern responses toward (phi,theta). Sectors whose probe frame was
 // missed are excluded from both vectors -- probing a subset anyway is what
-// makes CSS "naturally compensate missing measurements" (Sec. 5).
+// makes CSS "naturally compensate missing measurements" (Sec. 5). So are
+// readings that cannot be measurements (non-finite or absurd values, see
+// reading_value_usable): one rule decides which readings count, for every
+// evaluator below.
 //
 // CorrelationEngine evaluates the correlation on top of a ResponseMatrix
 // (core/response_matrix.hpp): pattern responses resampled onto the search
 // grid once, compacted per probe subset into cached tile-blocked panels.
 // Eq. 5 runs as dense contiguous dot products with no per-element slot
 // indexing, either over the whole grid (combined_surface) or -- the
-// selection hot path -- as an exact branch-and-bound argmax
-// (combined_argmax) that prunes grid tiles with a Cauchy-Schwarz upper
-// bound and returns the bit-identical peak of the full surface without
-// materializing it.
+// selection hot path -- as an exact branch-and-bound argmax that prunes
+// grid tiles with a Cauchy-Schwarz upper bound and returns the
+// bit-identical peak of the full surface without materializing it. There
+// is one branch-and-bound walk, batched (combined_argmax_batch): sweeps
+// sharing a probe subset walk the tile pyramid together, and a single
+// sweep (combined_argmax) is a batch of one.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -68,6 +74,16 @@ TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
 
 }  // namespace detail
 
+/// The peak of combined_surface without materializing it.
+struct ArgmaxResult {
+  /// Flat grid index of the peak (ties resolve to the lowest index,
+  /// exactly like Grid2D::peak on the full surface).
+  std::size_t index{0};
+  /// W at the peak -- bit-identical to the surface value there.
+  double value{0.0};
+  Direction direction{};
+};
+
 /// Firmware SNR reporting floor [dB]: readings clamp here (the [-7, 12] dB
 /// report range of Sec. 3.2, MeasurementModel's report_min_db). The
 /// matching pursuit subtracts this floor in linear power so clamped
@@ -75,10 +91,24 @@ TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
 /// (unmeasurable) directions.
 inline constexpr double kSnrReportingFloorDb = -7.0;
 
+/// Largest magnitude [dB / dBm] a usable reading may have. Real readings
+/// sit within tens of dB (the firmware reports SNR in [-7, 12] dB); at
+/// 300 dB the linear-domain value 10^(v/10) and every squared norm built
+/// from such values stay normal doubles, so no usable reading can
+/// overflow (or underflow to zero) in either correlation domain.
+inline constexpr double kMaxReadingMagnitudeDb = 300.0;
+
+/// The usable-value rule: finite and within kMaxReadingMagnitudeDb. NaN,
+/// +-inf and overflowing values such as 1e308 all fail it.
+inline bool reading_value_usable(double value_db) {
+  return std::abs(value_db) <= kMaxReadingMagnitudeDb;
+}
+
 /// Usable probes of one sweep: matrix slots plus the probe value(s) in
 /// the correlation domain, in reading order. `dropped` counts the
-/// readings whose sector ID has no matrix slot (unknown to the pattern
-/// table) and was therefore excluded from the vectors.
+/// readings excluded from the vectors: a sector ID with no matrix slot
+/// (unknown to the pattern table), or an SNR or RSSI that fails
+/// reading_value_usable.
 struct ProbeVectors {
   std::vector<int> slots;
   std::vector<double> snr;
@@ -87,12 +117,12 @@ struct ProbeVectors {
 };
 
 /// Caller-owned scratch for the selection hot path (one per LinkSession /
-/// replay cell). Holds the collected probe vectors, the resolved subset
-/// panel and the branch-and-bound tile scratch, so that once warmed up --
-/// a few sweeps with the session's largest probe count -- repeated
-/// combined_argmax calls perform zero heap allocations. Not thread-safe;
-/// give each concurrent caller its own workspace (panels themselves are
-/// shared and immutable).
+/// replay cell / daemon). Holds the collected probe vectors, the resolved
+/// subset panel and the branch-and-bound tile scratch, so that once warmed
+/// up -- a few sweeps with the session's largest probe count and batch
+/// size -- repeated argmax and select calls perform zero heap
+/// allocations. Not thread-safe; give each concurrent caller its own
+/// workspace (panels themselves are shared and immutable).
 class CorrelationWorkspace {
  public:
   /// Times any internal buffer had to grow (or a new panel had to be
@@ -103,6 +133,7 @@ class CorrelationWorkspace {
 
  private:
   friend class CorrelationEngine;
+  friend class CompressiveSectorSelector;
 
   /// resize() that charges capacity growth to the growth counter.
   template <typename T>
@@ -111,22 +142,18 @@ class CorrelationWorkspace {
     v.resize(n);
   }
 
-  ProbeVectors probes_;
-  /// Panel of the last subset seen; keyed by its exact slot sequence, so
-  /// the steady-state path skips the matrix cache (and its lock) entirely.
+  /// Panel of the last single-group batch; keyed by its exact slot
+  /// sequence, so a caller re-probing one subset skips the matrix cache
+  /// (and its lock) entirely.
   std::shared_ptr<const SubsetPanel> panel_;
-  /// Per-coarse-tile upper bounds and the best-first visiting order. The
-  /// batched argmax reuses bound_ for the max-over-members bound.
+  /// Per-coarse-tile group bounds (max over members) and the best-first
+  /// visiting order.
   std::vector<double> coarse_bound_;
   std::vector<std::uint32_t> coarse_order_;
-  /// |probe| vectors for the screening kernels (computed once per call
-  /// instead of per tile).
-  std::vector<double> abs_snr_;
-  std::vector<double> abs_rssi_;
 
-  // Batched-argmax scratch (combined_argmax_batch): per-sweep probe
-  // vectors, the slot-sequence grouping order, and the per-member walk
-  // state. All sized to the largest batch seen, then reused.
+  // Per-sweep probe vectors, the slot-sequence grouping order, and the
+  // per-member walk state. All sized to the largest batch seen, then
+  // reused.
   std::vector<ProbeVectors> batch_probes_;
   std::vector<std::uint32_t> batch_order_;
   /// Per (coarse tile, member) bounds of the current group, [c * K + b].
@@ -145,6 +172,13 @@ class CorrelationWorkspace {
   std::vector<const double*> batch_pr_;
   std::vector<std::uint8_t> batch_coarse_active_;
   std::vector<std::uint8_t> batch_tile_active_;
+
+  // Selection scratch (CompressiveSectorSelector): the sweeps of a batch
+  // that take the argmax path, their positions in the batch, and their
+  // peaks.
+  std::vector<std::span<const SectorReading>> argmax_sweeps_;
+  std::vector<std::uint32_t> argmax_index_;
+  std::vector<ArgmaxResult> argmax_peaks_;
   std::size_t growth_events_{0};
 };
 
@@ -162,61 +196,44 @@ class CorrelationEngine {
   const ResponseMatrix& response_matrix() const { return matrix_; }
 
   /// Eq. 2 evaluated on the whole grid for one value type.
-  /// Readings of sectors absent from the table are ignored. Requires at
-  /// least 2 usable readings.
+  /// Readings that usable_probe_count would not count are ignored.
+  /// Requires at least 2 usable readings.
   Grid2D surface(std::span<const SectorReading> readings, SignalValue value) const;
 
   /// Eq. 5: element-wise product of the SNR and RSSI surfaces, computed in
   /// one fused grid pass (one panel walk for both dots and the product).
   Grid2D combined_surface(std::span<const SectorReading> readings) const;
 
-  /// The peak of combined_surface without materializing it.
-  struct ArgmaxResult {
-    /// Flat grid index of the peak (ties resolve to the lowest index,
-    /// exactly like Grid2D::peak on the full surface).
-    std::size_t index{0};
-    /// W at the peak -- bit-identical to the surface value there.
-    double value{0.0};
-    Direction direction{};
-  };
+  using ArgmaxResult = talon::ArgmaxResult;
 
-  /// Eq. 3 over the Eq. 5 surface as an exact branch-and-bound search:
-  /// grid tiles are visited best-bound-first and skipped when a rigorous
+  /// Eq. 3 over the Eq. 5 surface as an exact branch-and-bound search,
+  /// batched: the peak of combined_surface for K sweeps in one call,
+  /// writing out[i] for sweeps[i] (out.size() must equal sweeps.size()).
+  /// Grid tiles are visited best-bound-first and skipped when a rigorous
   /// floating-point upper bound (per-tile response extrema + minimum
   /// subset norm, Cauchy-Schwarz on both correlation factors) cannot beat
   /// the running best; surviving points are evaluated with the exact
-  /// combined_surface arithmetic. Index and value are therefore
-  /// bit-identical to combined_surface(readings).peak() -- asserted in
-  /// debug builds -- at a fraction of its cost, with zero steady-state
-  /// allocations when `ws` is reused. Same preconditions as
+  /// combined_surface arithmetic. Sweeps whose usable probes map onto the
+  /// same slot sequence form a group that walks the tile pyramid ONCE:
+  /// tiles are screened for every member at each visit (ordered by the
+  /// best member bound), so the panel's tile values are touched while
+  /// cache-hot for all K links instead of K times cold. Every member
+  /// prunes by its own bound, so each result is bit-identical to
+  /// combined_surface(sweeps[i]).peak() regardless of grouping (asserted
+  /// per member in debug builds). Steady state on stable sweep shapes
+  /// performs zero heap allocations; `ws` holds all scratch. Every sweep
+  /// needs >= 2 usable readings with positive probe norms, like
   /// combined_surface.
+  void combined_argmax_batch(std::span<const std::span<const SectorReading>> sweeps,
+                             std::span<ArgmaxResult> out,
+                             CorrelationWorkspace& ws) const;
+
+  /// combined_argmax_batch for one sweep (a batch of one).
   ArgmaxResult combined_argmax(std::span<const SectorReading> readings,
                                CorrelationWorkspace& ws) const;
 
   /// combined_argmax with a throwaway workspace (cold path / tests).
   ArgmaxResult combined_argmax(std::span<const SectorReading> readings) const;
-
-  /// Batched branch-and-bound: the peak of combined_surface for K sweeps
-  /// in one call, writing out[i] for sweeps[i] (out.size() must equal
-  /// sweeps.size()). Sweeps whose usable probes map onto the same slot
-  /// sequence form a group that walks the tile pyramid ONCE: coarse and
-  /// fine tiles are screened for every member at each visit (ordered by
-  /// the best member bound), so the panel's tile values and statistics
-  /// are touched while cache-hot for all K links instead of K times cold.
-  /// Every member's pruning rules are exactly the single-sweep ones, so
-  /// each result is bit-identical to combined_argmax(sweeps[i]) -- and
-  /// therefore to combined_surface(sweeps[i]).peak() -- regardless of
-  /// grouping (asserted in debug builds). Steady state on stable sweep
-  /// shapes performs zero heap allocations; `ws` holds all scratch. Same
-  /// per-sweep preconditions as combined_argmax.
-  void combined_argmax_batch(std::span<const std::span<const SectorReading>> sweeps,
-                             std::span<ArgmaxResult> out,
-                             CorrelationWorkspace& ws) const;
-
-  /// combined_argmax_batch with a throwaway workspace, returning the
-  /// results by value (cold path / tests).
-  std::vector<ArgmaxResult> combined_argmax_batch(
-      std::span<const std::span<const SectorReading>> sweeps) const;
 
   /// Batched Eq. 5: one surface per input sweep. Sweeps whose usable
   /// probes map onto the same slot sequence share one panel resolution and
@@ -227,11 +244,11 @@ class CorrelationEngine {
   std::vector<Grid2D> combined_surface_batch(
       std::span<const std::span<const SectorReading>> sweeps) const;
 
-  /// Number of readings that map onto table sectors.
+  /// Number of usable readings: known sector, usable SNR and RSSI.
   std::size_t usable_probe_count(std::span<const SectorReading> readings) const;
 
-  /// Usable probes of one sweep in reading order, with readings of
-  /// unknown sectors dropped (and counted).
+  /// Usable probes of one sweep in reading order, with the other readings
+  /// dropped (and counted).
   ProbeVectors collect_probes(std::span<const SectorReading> readings,
                               bool need_snr, bool need_rssi) const;
 
@@ -266,20 +283,28 @@ class CorrelationEngine {
                                      bool separate_in_azimuth = false) const;
 
  private:
-  /// Index into the response matrix for a sector ID, or -1.
-  int sector_slot(int sector_id) const { return matrix_.slot(sector_id); }
+  /// The one usable-reading rule behind usable_probe_count and
+  /// collect_probes: the reading's matrix slot when its sector is in the
+  /// table and both its SNR and RSSI pass reading_value_usable, else -1.
+  int usable_slot(const SectorReading& r) const {
+    return reading_value_usable(r.snr_db) && reading_value_usable(r.rssi_dbm)
+               ? matrix_.slot(r.sector_id)
+               : -1;
+  }
 
   /// collect_probes into caller-owned vectors (the zero-allocation path).
   void collect_probes_into(std::span<const SectorReading> readings, bool need_snr,
                            bool need_rssi, ProbeVectors& out) const;
 
-  /// Resolve the subset panel for ws.probes_.slots, reusing ws.panel_ when
-  /// the sequence matches (no lock, no allocation).
-  const SubsetPanel& resolve_panel(CorrelationWorkspace& ws) const;
+  /// The panel for `slots` through ws.panel_: reused when the sequence
+  /// matches (no lock, no allocation), else resolved through the matrix
+  /// cache and kept -- a subset switch, charged to the growth counter.
+  const SubsetPanel& resolve_panel(const std::vector<int>& slots,
+                                   CorrelationWorkspace& ws) const;
 
   /// One slot-sequence group of the batched argmax: members are indices
-  /// into ws.batch_probes_ sharing one panel; writes out[members[b]].
-  void argmax_group(std::span<const std::uint32_t> members,
+  /// into ws.batch_probes_ sharing the panel `pan`; writes out[members[b]].
+  void argmax_group(std::span<const std::uint32_t> members, const SubsetPanel& pan,
                     std::span<const std::span<const SectorReading>> sweeps,
                     std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const;
 

@@ -42,6 +42,51 @@ double peak_confidence(const Grid2D& surface, const Grid2D::Peak& peak,
   return peak.value / runner;
 }
 
+/// select() for a sweep that does not take the batched argmax: the Eq. 1
+/// fallback below min_probes, or the full-surface path (SNR-only
+/// ablation, confidence mode).
+CssResult select_unbatched(const CorrelationEngine& engine,
+                           const PatternTable& patterns, const CssConfig& config,
+                           std::span<const SectorReading> probes,
+                           std::span<const int> candidates) {
+  CssResult result;
+  if (engine.usable_probe_count(probes) < config.min_probes) {
+    // Too few usable probes for a trustworthy correlation: fall back to
+    // the plain argmax over what was received (Eq. 1 on the subset),
+    // first maximum on ties. Readings whose SNR fails the usable-value
+    // rule cannot rank; with none left (an empty sweep, say) the result
+    // stays invalid and the caller keeps its previous selection.
+    const SectorReading* best = nullptr;
+    for (const SectorReading& r : probes) {
+      if (reading_value_usable(r.snr_db) &&
+          (best == nullptr || r.snr_db > best->snr_db)) {
+        best = &r;
+      }
+    }
+    if (best == nullptr) return result;
+    result.valid = true;
+    result.sector_id = best->sector_id;
+    result.fallback_used = true;
+    return result;
+  }
+
+  // Full-surface path: the SNR-only ablation (Eq. 2), and the confidence
+  // mode, which needs the whole surface to rank the second peak. The peak
+  // -- and therefore the selection -- is bit-identical to the argmax path.
+  const Grid2D surface = config.use_rssi ? engine.combined_surface(probes)
+                                         : engine.surface(probes, SignalValue::kSnr);
+  const Grid2D::Peak peak = surface.peak();
+  result.valid = true;
+  result.estimated_direction = peak.direction;
+  result.correlation_peak = peak.value;
+  result.sector_id = patterns.best_sector_at(peak.direction, candidates);
+  if (config.compute_confidence) {
+    result.confidence =
+        peak_confidence(surface, peak, config.confidence_exclusion_deg);
+  }
+  return result;
+}
+
 }  // namespace
 
 CompressiveSectorSelector::CompressiveSectorSelector(PatternTable patterns,
@@ -61,99 +106,31 @@ CompressiveSectorSelector::CompressiveSectorSelector(
   config_.domain = assets_->domain();
 }
 
-std::optional<Direction> CompressiveSectorSelector::estimate_direction(
-    std::span<const SectorReading> probes, CorrelationWorkspace& ws) const {
-  if (engine().usable_probe_count(probes) < config_.min_probes) return std::nullopt;
-  if (config_.use_rssi) return engine().combined_argmax(probes, ws).direction;
-  return engine().surface(probes, SignalValue::kSnr).peak().direction;
-}
-
-std::optional<Direction> CompressiveSectorSelector::estimate_direction(
-    std::span<const SectorReading> probes) const {
-  CorrelationWorkspace ws;
-  return estimate_direction(probes, ws);
-}
-
-Grid2D CompressiveSectorSelector::correlation_surface(
-    std::span<const SectorReading> probes) const {
-  TALON_EXPECTS(engine().usable_probe_count(probes) >= config_.min_probes);
-  return config_.use_rssi ? engine().combined_surface(probes)
-                          : engine().surface(probes, SignalValue::kSnr);
+std::size_t CompressiveSectorSelector::batched_argmax(
+    std::span<const std::span<const SectorReading>> sweeps,
+    CorrelationWorkspace& ws) const {
+  ws.ensure_size(ws.argmax_sweeps_, sweeps.size());
+  ws.ensure_size(ws.argmax_index_, sweeps.size());
+  std::size_t routed = 0;
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    if (engine().usable_probe_count(sweeps[i]) < config_.min_probes) continue;
+    ws.argmax_sweeps_[routed] = sweeps[i];
+    ws.argmax_index_[routed] = static_cast<std::uint32_t>(i);
+    ++routed;
+  }
+  ws.ensure_size(ws.argmax_peaks_, routed);
+  engine().combined_argmax_batch(
+      std::span<const std::span<const SectorReading>>(ws.argmax_sweeps_.data(), routed),
+      ws.argmax_peaks_, ws);
+  return routed;
 }
 
 CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
                                             std::span<const int> candidates,
                                             CorrelationWorkspace& ws) const {
-  TALON_EXPECTS(!candidates.empty());
   CssResult result;
-  if (probes.empty()) return result;  // invalid: keep previous selection
-
-  if (engine().usable_probe_count(probes) < config_.min_probes) {
-    // Too few decoded probes for a trustworthy correlation: fall back to
-    // the plain argmax over what was received (Eq. 1 on the subset).
-    const auto best = std::max_element(
-        probes.begin(), probes.end(),
-        [](const SectorReading& a, const SectorReading& b) { return a.snr_db < b.snr_db; });
-    result.valid = true;
-    result.sector_id = best->sector_id;
-    result.fallback_used = true;
-    return result;
-  }
-
-  if (config_.use_rssi && !config_.compute_confidence) {
-    // Eq. 3/5 without the surface: the pruned argmax lands on the same
-    // (bit-identical) peak.
-    const CorrelationEngine::ArgmaxResult peak = engine().combined_argmax(probes, ws);
-    result.valid = true;
-    result.estimated_direction = peak.direction;
-    result.correlation_peak = peak.value;
-    result.sector_id = patterns().best_sector_at(peak.direction, candidates);
-    return result;
-  }
-
-  // Full-surface path: the SNR-only ablation (Eq. 2), and the confidence
-  // mode, which needs the whole surface to rank the second peak. The peak
-  // -- and therefore the selection -- is bit-identical to the argmax path.
-  const Grid2D surface = config_.use_rssi
-                             ? engine().combined_surface(probes)
-                             : engine().surface(probes, SignalValue::kSnr);
-  const Grid2D::Peak peak = surface.peak();
-  result.valid = true;
-  result.estimated_direction = peak.direction;
-  result.correlation_peak = peak.value;
-  result.sector_id = patterns().best_sector_at(peak.direction, candidates);
-  if (config_.compute_confidence) {
-    result.confidence =
-        peak_confidence(surface, peak, config_.confidence_exclusion_deg);
-  }
+  select_batch(std::span(&probes, 1), candidates, std::span(&result, 1), ws);
   return result;
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
-                                            std::span<const int> candidates) const {
-  CorrelationWorkspace ws;
-  return select(probes, candidates, ws);
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
-                                            CorrelationWorkspace& ws) const {
-  // All table sectors except the quasi-omni receive pattern: feedback must
-  // name one of the peer's *transmit* sectors.
-  return select(probes, assets_->tx_candidates(), ws);
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes) const {
-  CorrelationWorkspace ws;
-  return select(probes, assets_->tx_candidates(), ws);
-}
-
-std::vector<CssResult> CompressiveSectorSelector::select_batch(
-    std::span<const std::vector<SectorReading>> sweeps,
-    std::span<const int> candidates, CorrelationWorkspace& ws) const {
-  std::vector<CssResult> results(sweeps.size());
-  std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
-  select_batch(views, candidates, results, ws);
-  return results;
 }
 
 void CompressiveSectorSelector::select_batch(
@@ -162,93 +139,52 @@ void CompressiveSectorSelector::select_batch(
     CorrelationWorkspace& ws) const {
   TALON_EXPECTS(!candidates.empty());
   TALON_EXPECTS(out.size() == sweeps.size());
-  // Route every sweep that would take select()'s pruned-argmax fast path
-  // through ONE batched branch-and-bound walk: sweeps sharing a probe
-  // subset then traverse the tile pyramid together
-  // (CorrelationEngine::combined_argmax_batch), touching the panel's
-  // tiles once while cache-hot instead of once per sweep. Empty,
-  // under-probed, SNR-only and confidence-mode sweeps take the same code
-  // select() runs for them. Each result is bit-identical to select() per
-  // element -- the batched argmax is bit-identical to the single one.
-  const bool argmax_path = config_.use_rssi && !config_.compute_confidence;
-  std::vector<std::span<const SectorReading>> argmax_sweeps;
-  std::vector<std::size_t> argmax_index;
-  if (argmax_path) {
-    argmax_sweeps.reserve(sweeps.size());
-    argmax_index.reserve(sweeps.size());
-  }
+  // Eq. 3/5 without the surface: the pruned argmax lands on the same
+  // (bit-identical) peak, so every sweep with enough usable probes rides
+  // one batched walk. The SNR-only ablation and the confidence mode need
+  // the surface itself.
+  const std::size_t routed = config_.use_rssi && !config_.compute_confidence
+                                 ? batched_argmax(sweeps, ws)
+                                 : 0;
+  std::size_t j = 0;
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    if (argmax_path && !sweeps[i].empty() &&
-        engine().usable_probe_count(sweeps[i]) >= config_.min_probes) {
-      argmax_sweeps.emplace_back(sweeps[i]);
-      argmax_index.push_back(i);
+    if (j < routed && ws.argmax_index_[j] == i) {
+      const ArgmaxResult& peak = ws.argmax_peaks_[j++];
+      out[i] = CssResult{
+          .valid = true,
+          .sector_id = patterns().best_sector_at(peak.direction, candidates),
+          .estimated_direction = peak.direction,
+          .correlation_peak = peak.value,
+      };
       continue;
     }
-    out[i] = select(sweeps[i], candidates, ws);
-  }
-  if (!argmax_sweeps.empty()) {
-    std::vector<CorrelationEngine::ArgmaxResult> peaks(argmax_sweeps.size());
-    engine().combined_argmax_batch(argmax_sweeps, peaks, ws);
-    for (std::size_t j = 0; j < peaks.size(); ++j) {
-      CssResult& result = out[argmax_index[j]];
-      result.valid = true;
-      result.estimated_direction = peaks[j].direction;
-      result.correlation_peak = peaks[j].value;
-      result.sector_id = patterns().best_sector_at(peaks[j].direction, candidates);
-    }
+    out[i] = select_unbatched(engine(), patterns(), config_, sweeps[i], candidates);
   }
 }
 
-std::vector<CssResult> CompressiveSectorSelector::select_batch(
-    std::span<const std::vector<SectorReading>> sweeps,
-    std::span<const int> candidates) const {
-  CorrelationWorkspace ws;
-  return select_batch(sweeps, candidates, ws);
+std::optional<Direction> CompressiveSectorSelector::estimate_direction(
+    std::span<const SectorReading> probes, CorrelationWorkspace& ws) const {
+  std::optional<Direction> result;
+  estimate_directions(std::span(&probes, 1), std::span(&result, 1), ws);
+  return result;
 }
 
-std::vector<CssResult> CompressiveSectorSelector::select_batch(
-    std::span<const std::vector<SectorReading>> sweeps) const {
-  CorrelationWorkspace ws;
-  return select_batch(sweeps, assets_->tx_candidates(), ws);
-}
-
-std::vector<std::optional<Direction>> CompressiveSectorSelector::estimate_directions(
-    std::span<const std::vector<SectorReading>> sweeps,
-    CorrelationWorkspace& ws) const {
-  std::vector<std::optional<Direction>> results(sweeps.size());
+void CompressiveSectorSelector::estimate_directions(
+    std::span<const std::span<const SectorReading>> sweeps,
+    std::span<std::optional<Direction>> out, CorrelationWorkspace& ws) const {
+  TALON_EXPECTS(out.size() == sweeps.size());
+  std::fill(out.begin(), out.end(), std::nullopt);
   if (!config_.use_rssi) {
     for (std::size_t i = 0; i < sweeps.size(); ++i) {
-      results[i] = estimate_direction(sweeps[i], ws);
+      if (engine().usable_probe_count(sweeps[i]) < config_.min_probes) continue;
+      out[i] = engine().surface(sweeps[i], SignalValue::kSnr).peak().direction;
     }
-    return results;
+    return;
   }
-  // Same batching as select_batch: every sweep with enough usable probes
-  // rides one batched argmax walk; the rest stay nullopt, exactly like
-  // the per-element path.
-  std::vector<std::span<const SectorReading>> argmax_sweeps;
-  std::vector<std::size_t> argmax_index;
-  argmax_sweeps.reserve(sweeps.size());
-  argmax_index.reserve(sweeps.size());
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    if (engine().usable_probe_count(sweeps[i]) >= config_.min_probes) {
-      argmax_sweeps.emplace_back(sweeps[i]);
-      argmax_index.push_back(i);
-    }
+  const std::size_t routed = batched_argmax(sweeps, ws);
+  for (std::size_t j = 0; j < routed; ++j) {
+    out[ws.argmax_index_[j]] = ws.argmax_peaks_[j].direction;
   }
-  if (!argmax_sweeps.empty()) {
-    std::vector<CorrelationEngine::ArgmaxResult> peaks(argmax_sweeps.size());
-    engine().combined_argmax_batch(argmax_sweeps, peaks, ws);
-    for (std::size_t j = 0; j < peaks.size(); ++j) {
-      results[argmax_index[j]] = peaks[j].direction;
-    }
-  }
-  return results;
-}
-
-std::vector<std::optional<Direction>> CompressiveSectorSelector::estimate_directions(
-    std::span<const std::vector<SectorReading>> sweeps) const {
-  CorrelationWorkspace ws;
-  return estimate_directions(sweeps, ws);
 }
 
 }  // namespace talon

@@ -79,68 +79,37 @@ class CompressiveSectorSelector {
   explicit CompressiveSectorSelector(std::shared_ptr<const PatternAssets> assets,
                                      CssConfig config = {});
 
+  // One entry point per operation, single and batched. Every call runs in
+  // a caller-owned CorrelationWorkspace (CssSelector owns one for
+  // one-shot callers); a single sweep is a batch of one, so both forms
+  // share one code path and return bit-identical results.
+
   /// Full CSS: estimate the path from `probes`, then select the best of
-  /// `candidates` (Eq. 4). The workspace-taking overload is the selection
-  /// hot path -- Eq. 3/5 runs as the allocation-free branch-and-bound
-  /// argmax (CorrelationEngine::combined_argmax) over `ws`; the others
-  /// spin up a throwaway workspace per call. All overloads return
-  /// bit-identical results.
+  /// `candidates` (Eq. 4) -- assets()->tx_candidates() for every transmit
+  /// sector. Eq. 3/5 runs as the allocation-free branch-and-bound argmax
+  /// (CorrelationEngine::combined_argmax_batch) over `ws`.
   CssResult select(std::span<const SectorReading> probes,
                    std::span<const int> candidates,
                    CorrelationWorkspace& ws) const;
-  CssResult select(std::span<const SectorReading> probes,
-                   std::span<const int> candidates) const;
 
-  /// select() with all pattern-table sectors as candidates.
-  CssResult select(std::span<const SectorReading> probes,
-                   CorrelationWorkspace& ws) const;
-  CssResult select(std::span<const SectorReading> probes) const;
-
-  /// Batched select(): one result per sweep, bit-for-bit identical to
-  /// calling select() on each element. Sweeps sharing a probe subset share
-  /// one cached response panel (and the workspace's warm scratch), so the
-  /// batch costs one argmax per sweep with no per-sweep setup.
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps,
-      std::span<const int> candidates, CorrelationWorkspace& ws) const;
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps,
-      std::span<const int> candidates) const;
-
-  /// select_batch() with all pattern-table sectors as candidates.
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps) const;
-
-  /// The zero-copy batched select the multi-link daemon drives: sweeps
-  /// arrive as spans (no per-sweep vector materialization) and results
-  /// land in caller-owned storage (out.size() == sweeps.size()). All
-  /// other select_batch overloads delegate here. Results are
-  /// bit-identical to select() per element; every sweep that would take
-  /// select()'s pruned-argmax fast path instead rides ONE batched
-  /// branch-and-bound walk (CorrelationEngine::combined_argmax_batch), so
+  /// Batched select(): out[i] for sweeps[i] (out.size() == sweeps.size()),
+  /// each bit-identical to select() on that sweep. Every sweep that takes
+  /// the pruned-argmax path rides ONE batched branch-and-bound walk, so
   /// sweeps sharing a probe subset traverse each tile while it is hot.
+  /// Steady state is allocation-free: all scratch lives in `ws`.
   void select_batch(std::span<const std::span<const SectorReading>> sweeps,
                     std::span<const int> candidates, std::span<CssResult> out,
                     CorrelationWorkspace& ws) const;
 
-  /// Batched estimate_direction(), same contract as select_batch().
-  std::vector<std::optional<Direction>> estimate_directions(
-      std::span<const std::vector<SectorReading>> sweeps,
-      CorrelationWorkspace& ws) const;
-  std::vector<std::optional<Direction>> estimate_directions(
-      std::span<const std::vector<SectorReading>> sweeps) const;
-
   /// Step 1 only (Eq. 3/5): the estimated angle of arrival, or nullopt
-  /// when fewer than min_probes probes decoded.
+  /// when fewer than min_probes usable probes decoded.
   std::optional<Direction> estimate_direction(
       std::span<const SectorReading> probes, CorrelationWorkspace& ws) const;
-  std::optional<Direction> estimate_direction(
-      std::span<const SectorReading> probes) const;
 
-  /// The raw Eq. 5 (or Eq. 2) correlation surface -- the input for
-  /// multipath extraction (core/multipath.hpp) and diagnostics.
-  /// Requires at least min_probes usable probes.
-  Grid2D correlation_surface(std::span<const SectorReading> probes) const;
+  /// Batched estimate_direction(), same contract as select_batch().
+  void estimate_directions(std::span<const std::span<const SectorReading>> sweeps,
+                           std::span<std::optional<Direction>> out,
+                           CorrelationWorkspace& ws) const;
 
   const PatternTable& patterns() const { return assets_->patterns(); }
   const CssConfig& config() const { return config_; }
@@ -150,6 +119,13 @@ class CompressiveSectorSelector {
 
  private:
   const CorrelationEngine& engine() const { return assets_->engine(); }
+
+  /// Runs every sweep with at least min_probes usable probes through one
+  /// combined_argmax_batch walk and returns how many. The j-th of them,
+  /// in batch order, is sweeps[ws.argmax_index_[j]] with peak
+  /// ws.argmax_peaks_[j].
+  std::size_t batched_argmax(std::span<const std::span<const SectorReading>> sweeps,
+                             CorrelationWorkspace& ws) const;
 
   std::shared_ptr<const PatternAssets> assets_;
   CssConfig config_;

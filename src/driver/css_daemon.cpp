@@ -10,14 +10,6 @@ CssDaemon::CssDaemon(std::shared_ptr<const PatternAssets> assets,
   TALON_EXPECTS(assets_ != nullptr);
 }
 
-CssDaemon::CssDaemon(Wil6210Driver& driver, const PatternTable& patterns,
-                     const CssDaemonConfig& config, Rng rng)
-    : assets_(PatternAssetsRegistry::global().get_or_create(
-          patterns, CssConfig{}.search_grid, CssConfig{}.domain)),
-      defaults_(config) {
-  add_link(0, driver, rng);
-}
-
 LinkSession& CssDaemon::add_link(int link_id, Wil6210Driver& driver, Rng rng) {
   return add_link(link_id, driver, rng, defaults_);
 }
@@ -86,24 +78,6 @@ std::vector<int> CssDaemon::link_ids() const {
   return ids;
 }
 
-LinkSession& CssDaemon::first_session() {
-  if (sessions_.empty()) throw StateError("daemon has no link sessions");
-  return *sessions_.begin()->second;
-}
-
-const LinkSession& CssDaemon::first_session() const {
-  if (sessions_.empty()) throw StateError("daemon has no link sessions");
-  return *sessions_.begin()->second;
-}
-
-std::vector<int> CssDaemon::next_probe_subset() {
-  return first_session().next_probe_subset();
-}
-
-std::optional<CssResult> CssDaemon::process_sweep() {
-  return first_session().process_sweep();
-}
-
 bool CssDaemon::joins_batch(const LinkSession& session) const {
   return session.pending_batchable() && session.assets().get() == assets_.get();
 }
@@ -144,16 +118,6 @@ std::map<int, std::optional<CssResult>> CssDaemon::process_sweeps() {
   std::map<int, std::optional<CssResult>> out;
   complete_prepared(&out);
   return out;
-}
-
-std::size_t CssDaemon::rounds() const { return first_session().rounds(); }
-
-std::size_t CssDaemon::current_probes() const {
-  return first_session().current_probes();
-}
-
-const std::optional<Direction>& CssDaemon::tracked_direction() const {
-  return first_session().tracked_direction();
 }
 
 FaultStats CssDaemon::total_fault_stats() const {

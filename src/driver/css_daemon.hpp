@@ -29,14 +29,6 @@ class CssDaemon {
   explicit CssDaemon(std::shared_ptr<const PatternAssets> assets,
                      CssDaemonConfig defaults = {});
 
-  /// Single-link convenience (the original daemon shape): resolves the
-  /// assets through the global registry -- daemons built from the same
-  /// measured table share one response matrix -- and immediately binds
-  /// `driver` as link 0. The session loads the research patches on
-  /// construction when missing.
-  CssDaemon(Wil6210Driver& driver, const PatternTable& patterns,
-            const CssDaemonConfig& config, Rng rng);
-
   // --- session management ---------------------------------------------------
 
   /// Create and own the session serving `driver` under `link_id` with the
@@ -81,18 +73,6 @@ class CssDaemon {
   /// The immutable assets every session shares (never null).
   const std::shared_ptr<const PatternAssets>& assets() const { return assets_; }
 
-  // --- single-link forwarding (first session by id) -------------------------
-  // The original one-link daemon API, kept for the single-AP tools and
-  // tests; requires at least one session.
-
-  /// Probe subset to use for the next training round.
-  std::vector<int> next_probe_subset();
-
-  /// Consume the just-finished round: read the ring buffer, select, and
-  /// force the sector. Returns the selection, or nullopt when nothing was
-  /// decoded (the previous override stays in place).
-  std::optional<CssResult> process_sweep();
-
   // --- multi-link batched round ---------------------------------------------
 
   /// Finish a round for every session with a parked sweep (see
@@ -109,19 +89,10 @@ class CssDaemon {
       std::map<int, std::optional<CssResult>>* out = nullptr);
 
   /// prepare_sweep() on every session, then complete_prepared(): the
-  /// whole-fleet analogue of per-session process_sweep(), one batched
+  /// whole-fleet analogue of LinkSession::process_sweep(), one batched
   /// selection walk per round. Returns one result per session, keyed by
   /// link id.
   std::map<int, std::optional<CssResult>> process_sweeps();
-
-  /// Number of sweeps processed (first session).
-  std::size_t rounds() const;
-
-  std::size_t current_probes() const;
-
-  /// The smoothed path direction (empty unless track_path is on and at
-  /// least one valid estimate arrived).
-  const std::optional<Direction>& tracked_direction() const;
 
   // --- robustness observability ---------------------------------------------
 
@@ -137,8 +108,6 @@ class CssDaemon {
   LifecycleStats total_lifecycle_stats() const;
 
  private:
-  LinkSession& first_session();
-  const LinkSession& first_session() const;
   LinkSession& insert_session(int link_id, std::unique_ptr<LinkSession> session);
   /// May this parked sweep join the shared batched walk? Requires the
   /// session's batchable verdict AND that it rides the daemon's own

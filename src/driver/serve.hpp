@@ -1,7 +1,7 @@
 // The asynchronous serving layer over CssDaemon.
 //
 // CssDaemon is a synchronous library: whoever holds it calls
-// process_sweep()/process_report() inline. ServeDaemon turns it into a
+// process_report()/process_sweeps() inline. ServeDaemon turns it into a
 // long-running service shaped like a production beam-management daemon
 // (Terragraph's per-node firmware agent): station threads SUBMIT sweep
 // reports into a lock-free MPSC queue and return immediately; one

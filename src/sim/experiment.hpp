@@ -32,14 +32,16 @@
 namespace talon {
 
 /// Execution knobs of the offline replay engine. Neither knob changes any
-/// result: threads only distribute independent trial cells, and the batched
-/// Eq. 5 kernel is bit-for-bit equal to the scalar path.
+/// result: threads only distribute independent trial cells, and a batched
+/// selection is bit-for-bit equal to the per-sweep one.
 struct ReplayOptions {
   /// Worker threads; <= 0 means default_thread_count() (the --threads /
   /// TALON_THREADS override when set, hardware concurrency otherwise).
   int threads{0};
-  /// Evaluate each cell's sweeps through the batched kernel
-  /// (combined_surface_batch); false forces the scalar per-sweep path.
+  /// Hand each cell's sweeps to the selector in one batch
+  /// (SectorSelector::select_batch / estimate_directions, which CSS runs as
+  /// one CorrelationEngine::combined_argmax_batch walk); false selects
+  /// sweep by sweep.
   bool batch{true};
 };
 

@@ -78,12 +78,16 @@ struct ArmRec {
         break;
     }
     daemon = std::make_unique<CssDaemon>(
-        driver, table, daemon_config,
+        PatternAssetsRegistry::global().get_or_create(
+            table, CssConfig{}.search_grid, CssConfig{}.domain),
+        daemon_config);
+    session = &daemon->add_link(
+        0, driver,
         Rng(substream_seed(config.seed, streams::event_entity_tag(entity_id), 2)));
     if (arm == MobilityArm::kSswArgmax) {
       // Trip the pinned fallback with one empty drain (no readings, no
       // channel draws): from round 0 on the arm probes every sector.
-      daemon->process_sweep();
+      session->process_sweep();
     }
   }
 
@@ -94,6 +98,7 @@ struct ArmRec {
   Wil6210Driver driver;
   RayTracedEnvironment* environment{nullptr};
   std::unique_ptr<CssDaemon> daemon;
+  LinkSession* session{nullptr};  // the daemon's one link
   // Campaign accumulators.
   std::uint64_t rounds{0};
   std::uint64_t outage_rounds{0};
@@ -307,8 +312,8 @@ MobilityRunResult MobilitySimulator::run() {
                                                      kRxQuasiOmniSectorId));
         }
         rec.link.transmit_sweep(*rec.venue.dut, *rec.venue.peer,
-                                probing_burst_schedule(rec.daemon->next_probe_subset()));
-        rec.daemon->process_sweep();
+                                probing_burst_schedule(rec.session->next_probe_subset()));
+        rec.session->process_sweep();
         // The beam the STA actually rides: the standing override, or the
         // firmware's stock argmax when nothing was installed yet.
         const FullMacFirmware& fw = rec.venue.peer->firmware();

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <span>
+#include <vector>
+
 #include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
 #include "tests/core/synthetic_table.hpp"
@@ -19,12 +25,19 @@ CssConfig synthetic_config() {
   return c;
 }
 
+/// One-shot selection over every transmit sector.
+CssResult select_tx(const CompressiveSectorSelector& css,
+                    std::span<const SectorReading> probes) {
+  CorrelationWorkspace ws;
+  return css.select(probes, css.assets()->tx_candidates(), ws);
+}
+
 TEST(Css, SelectsBestSectorWithIdealProbes) {
   const PatternTable table = synthetic_table();
   const CompressiveSectorSelector css(table, synthetic_config());
   // Truth at -35 deg: sector 2 peaks exactly there.
   const auto probes = ideal_probes(table, {1, 3, 5, 7, 9}, {-35.0, 0.0});
-  const CssResult r = css.select(probes);
+  const CssResult r = select_tx(css, probes);
   EXPECT_TRUE(r.valid);
   EXPECT_FALSE(r.fallback_used);
   EXPECT_EQ(r.sector_id, 2);  // selected although sector 2 was never probed
@@ -38,7 +51,7 @@ TEST(Css, CandidateCountExceedsProbeCount) {
   const PatternTable table = synthetic_table();
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7, 9}, {24.0, 0.0});
-  const CssResult r = css.select(probes);
+  const CssResult r = select_tx(css, probes);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.sector_id, 6);  // peak at +25, never probed
 }
@@ -47,7 +60,7 @@ TEST(Css, ElevatedPathSelectsElevatedSector) {
   const PatternTable table = synthetic_table();
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {2, 4, 6, 8, 9}, {0.0, 20.0});
-  const CssResult r = css.select(probes);
+  const CssResult r = select_tx(css, probes);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.sector_id, 8);
   EXPECT_GT(r.estimated_direction->elevation_deg, 10.0);
@@ -58,7 +71,8 @@ TEST(Css, RestrictedCandidatesRespected) {
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7}, {-35.0, 0.0});
   const std::vector<int> candidates{5, 6, 7};
-  const CssResult r = css.select(probes, candidates);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, candidates, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.sector_id == 5 || r.sector_id == 6 || r.sector_id == 7);
 }
@@ -66,7 +80,7 @@ TEST(Css, RestrictedCandidatesRespected) {
 TEST(Css, EmptyProbesInvalidResult) {
   const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
   const std::vector<SectorReading> none;
-  const CssResult r = css.select(none);
+  const CssResult r = select_tx(css, none);
   EXPECT_FALSE(r.valid);
 }
 
@@ -76,7 +90,7 @@ TEST(Css, FallbackArgmaxBelowMinProbes) {
   config.min_probes = 4;
   const CompressiveSectorSelector css(table, config);
   const auto probes = ideal_probes(table, {3, 6}, {25.0, 0.0});
-  const CssResult r = css.select(probes);
+  const CssResult r = select_tx(css, probes);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.fallback_used);
   EXPECT_FALSE(r.estimated_direction.has_value());
@@ -87,7 +101,8 @@ TEST(Css, FallbackArgmaxBelowMinProbes) {
 TEST(Css, EstimateDirectionNulloptOnTooFewProbes) {
   const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
   const auto probes = ideal_probes(synthetic_table(), {3, 6}, {25.0, 0.0});
-  EXPECT_FALSE(css.estimate_direction(probes).has_value());
+  CorrelationWorkspace ws;
+  EXPECT_FALSE(css.estimate_direction(probes, ws).has_value());
 }
 
 TEST(Css, RobustToSnrOutlierViaRssiProduct) {
@@ -96,7 +111,7 @@ TEST(Css, RobustToSnrOutlierViaRssiProduct) {
   const Direction truth{-20.0, 0.0};
   auto probes = ideal_probes(table, {1, 2, 3, 4, 5, 6, 7}, truth);
   probes[6].snr_db = 12.0;  // bogus spike on sector 7 (peak at +40)
-  const CssResult r = css.select(probes);
+  const CssResult r = select_tx(css, probes);
   ASSERT_TRUE(r.valid);
   // The well-constrained azimuth axis must survive the outlier.
   EXPECT_LE(azimuth_distance_deg(r.estimated_direction->azimuth_deg,
@@ -116,8 +131,8 @@ TEST(Css, SnrOnlyModeIsMoreSensitiveToOutliers) {
   CssConfig snr_only = synthetic_config();
   snr_only.use_rssi = false;
   const CssResult r_product =
-      CompressiveSectorSelector(table, with_rssi).select(probes);
-  const CssResult r_snr = CompressiveSectorSelector(table, snr_only).select(probes);
+      select_tx(CompressiveSectorSelector(table, with_rssi), probes);
+  const CssResult r_snr = select_tx(CompressiveSectorSelector(table, snr_only), probes);
   const double err_product =
       angular_separation_deg(*r_product.estimated_direction, truth);
   const double err_snr = angular_separation_deg(*r_snr.estimated_direction, truth);
@@ -131,9 +146,119 @@ TEST(Css, DefaultCandidatesExcludeRxSector) {
   table.add(kRxQuasiOmniSectorId, omni);
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7}, {10.0, 0.0});
-  const CssResult r = css.select(probes);
+  const CssResult r = select_tx(css, probes);
   EXPECT_TRUE(r.valid);
   EXPECT_NE(r.sector_id, kRxQuasiOmniSectorId);
+}
+
+// --- hostile reading values ------------------------------------------------
+
+const double kHostileValues[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(), 1e308,
+                                 -1e308};
+
+TEST(Css, HostileReadingIsDroppedLikeAMissedProbe) {
+  // One NaN, +-inf or overflowing value in a reading's SNR or RSSI drops
+  // that reading: the selection equals the one on the sweep without it.
+  const PatternTable table = synthetic_table();
+  const CompressiveSectorSelector css(table, synthetic_config());
+  const auto clean = ideal_probes(table, {1, 2, 3, 4, 5, 6, 7}, {-20.0, 0.0});
+  std::vector<SectorReading> without = clean;
+  without.erase(without.begin() + 3);
+  const CssResult expected = select_tx(css, without);
+  ASSERT_TRUE(expected.valid);
+  for (const double bad : kHostileValues) {
+    for (const bool in_snr : {true, false}) {
+      auto probes = clean;
+      (in_snr ? probes[3].snr_db : probes[3].rssi_dbm) = bad;
+      const ProbeVectors collected =
+          css.assets()->engine().collect_probes(probes, true, true);
+      EXPECT_EQ(collected.dropped, 1u);
+      EXPECT_EQ(collected.slots.size(), without.size());
+      CssResult r;
+      ASSERT_NO_THROW(r = select_tx(css, probes)) << bad << " in_snr " << in_snr;
+      EXPECT_TRUE(r.valid);
+      EXPECT_FALSE(r.fallback_used);
+      EXPECT_EQ(r.sector_id, expected.sector_id);
+      EXPECT_EQ(r.correlation_peak, expected.correlation_peak);
+      ASSERT_TRUE(r.estimated_direction.has_value());
+      EXPECT_EQ(r.estimated_direction->azimuth_deg,
+                expected.estimated_direction->azimuth_deg);
+      EXPECT_EQ(r.estimated_direction->elevation_deg,
+                expected.estimated_direction->elevation_deg);
+      CorrelationWorkspace ws;
+      EXPECT_NO_THROW(css.estimate_direction(probes, ws));
+    }
+  }
+}
+
+TEST(Css, AllHostileSweepFallsBackOrStaysInvalid) {
+  // A sweep with no usable reading never throws: hostile RSSI leaves the
+  // SNR argmax fallback, hostile SNR leaves nothing to rank (an invalid
+  // result: the caller keeps its previous selection).
+  const PatternTable table = synthetic_table();
+  const CompressiveSectorSelector css(table, synthetic_config());
+  const auto clean = ideal_probes(table, {1, 3, 5, 7}, {25.0, 0.0});
+  const int strongest = std::max_element(clean.begin(), clean.end(),
+                                         [](const SectorReading& a,
+                                            const SectorReading& b) {
+                                           return a.snr_db < b.snr_db;
+                                         })
+                            ->sector_id;
+  for (const double bad : kHostileValues) {
+    auto bad_rssi = clean;
+    for (SectorReading& r : bad_rssi) r.rssi_dbm = bad;
+    CssResult r;
+    ASSERT_NO_THROW(r = select_tx(css, bad_rssi));
+    EXPECT_TRUE(r.valid);
+    EXPECT_TRUE(r.fallback_used);
+    EXPECT_EQ(r.sector_id, strongest);
+
+    auto bad_snr = clean;
+    for (SectorReading& s : bad_snr) s.snr_db = bad;
+    ASSERT_NO_THROW(r = select_tx(css, bad_snr));
+    EXPECT_FALSE(r.valid);
+  }
+}
+
+TEST(Css, BatchedSelectEqualsSelectPerSweep) {
+  // select() is a batch of one; a mixed batch (argmax path, fallback,
+  // empty, hostile) gives each sweep exactly its own select() result.
+  const PatternTable table = synthetic_table();
+  const CompressiveSectorSelector css(table, synthetic_config());
+  std::vector<std::vector<SectorReading>> sweeps{
+      ideal_probes(table, {1, 3, 5, 7, 9}, {-35.0, 0.0}),
+      ideal_probes(table, {3, 6}, {25.0, 0.0}),
+      {},
+      ideal_probes(table, {1, 3, 5, 7, 9}, {10.0, 0.0}),
+      ideal_probes(table, {2, 4, 6, 8}, {0.0, 20.0}),
+  };
+  sweeps[4][1].snr_db = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
+  std::vector<CssResult> batched(sweeps.size());
+  CorrelationWorkspace ws;
+  css.select_batch(views, css.assets()->tx_candidates(), batched, ws);
+  std::vector<std::optional<Direction>> directions(sweeps.size());
+  css.estimate_directions(views, directions, ws);
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    const CssResult single = select_tx(css, sweeps[i]);
+    EXPECT_EQ(batched[i].valid, single.valid) << i;
+    EXPECT_EQ(batched[i].sector_id, single.sector_id) << i;
+    EXPECT_EQ(batched[i].fallback_used, single.fallback_used) << i;
+    EXPECT_EQ(batched[i].correlation_peak, single.correlation_peak) << i;
+    ASSERT_EQ(batched[i].estimated_direction.has_value(),
+              single.estimated_direction.has_value())
+        << i;
+    ASSERT_EQ(directions[i].has_value(), single.estimated_direction.has_value()) << i;
+    if (single.estimated_direction) {
+      EXPECT_EQ(batched[i].estimated_direction->azimuth_deg,
+                single.estimated_direction->azimuth_deg);
+      EXPECT_EQ(directions[i]->azimuth_deg, single.estimated_direction->azimuth_deg);
+      EXPECT_EQ(directions[i]->elevation_deg,
+                single.estimated_direction->elevation_deg);
+    }
+  }
 }
 
 TEST(Css, MinProbesBelowTwoRejected) {

@@ -53,7 +53,8 @@ TEST(CssSelector, MatchesWrappedSelectorExactly) {
   const auto probes = ideal_probes(synthetic_table(),
                                    {1, 2, 3, 4, 5, 6, 7}, {-20.0, 0.0});
   // Default candidates.
-  const CssResult direct = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult direct = css.select(probes, css.assets()->tx_candidates(), ws);
   const CssResult routed = selector.select(probes);
   EXPECT_EQ(routed.valid, direct.valid);
   EXPECT_EQ(routed.sector_id, direct.sector_id);
@@ -68,11 +69,11 @@ TEST(CssSelector, MatchesWrappedSelectorExactly) {
   // Restricted candidates.
   const std::vector<int> candidates{2, 4, 6};
   const CssResult restricted = selector.select(probes, candidates);
-  EXPECT_EQ(restricted.sector_id, css.select(probes, candidates).sector_id);
+  EXPECT_EQ(restricted.sector_id, css.select(probes, candidates, ws).sector_id);
 
   // Direction estimate pass-through.
   const auto est = selector.estimate_direction(probes);
-  const auto expected = css.estimate_direction(probes);
+  const auto expected = css.estimate_direction(probes, ws);
   ASSERT_EQ(est.has_value(), expected.has_value());
   if (expected) {
     EXPECT_EQ(est->azimuth_deg, expected->azimuth_deg);
@@ -120,6 +121,29 @@ TEST(TrackingCssSelector, SmoothsSingleSweepJumps) {
   selector.select(ideal_probes(table, all, {40.0, 0.0}));
   EXPECT_LE(azimuth_distance_deg(selector.tracked()->azimuth_deg, settled),
             15.0);
+}
+
+TEST(TrackingCssSelector, EmptyCandidatesMeanTxCandidates) {
+  // The default candidate set is the assets' transmit sectors: an empty
+  // span and an explicit tx_candidates() give the same results.
+  PatternTable table = synthetic_table();
+  table.add(kRxQuasiOmniSectorId, Grid2D(testutil::synthetic_grid(), 11.9));
+  const CompressiveSectorSelector css(table, synthetic_config());
+  TrackingCssSelector implicit(css);
+  TrackingCssSelector explicit_tx(css);
+  const std::vector<int>& tx = css.assets()->tx_candidates();
+  for (const double az : {-20.0, -15.0, 30.0, 35.0}) {
+    const auto probes = ideal_probes(table, {1, 2, 3, 4, 5, 6, 7}, {az, 0.0});
+    const CssResult a = implicit.select(probes);
+    const CssResult b = explicit_tx.select(probes, tx);
+    ASSERT_TRUE(a.valid);
+    EXPECT_EQ(a.sector_id, b.sector_id);
+    EXPECT_NE(a.sector_id, kRxQuasiOmniSectorId);
+    EXPECT_EQ(a.correlation_peak, b.correlation_peak);
+    EXPECT_EQ(a.estimated_direction->azimuth_deg, b.estimated_direction->azimuth_deg);
+    EXPECT_EQ(a.estimated_direction->elevation_deg,
+              b.estimated_direction->elevation_deg);
+  }
 }
 
 TEST(TrackingCssSelector, RestrictedCandidatesRespected) {

@@ -66,6 +66,17 @@ std::vector<double> random_row(std::mt19937_64& rng, std::size_t m) {
   return row;
 }
 
+/// The independent reference a batched argmax member must match: the
+/// full surface's peak (Grid2D::peak), ties to the lowest flat index.
+CorrelationEngine::ArgmaxResult surface_peak(const CorrelationEngine& engine,
+                                             std::span<const SectorReading> sweep) {
+  const Grid2D w = engine.combined_surface(sweep);
+  const Grid2D::Peak peak = w.peak();
+  const auto it = std::max_element(w.values().begin(), w.values().end());
+  return {static_cast<std::size_t>(it - w.values().begin()), peak.value,
+          peak.direction};
+}
+
 void expect_rows_equal(const double* a, const double* b) {
   for (std::size_t g = 0; g < kTile; ++g) {
     EXPECT_EQ(a[g], b[g]) << "lane " << g;  // bit-identical, not approximate
@@ -367,8 +378,8 @@ TEST(PanelAlignment, RaggedTailGridsKeepArgmaxExact) {
 TEST(ArgmaxBatch, BitIdenticalToSingleSweepAcrossGroupings) {
   // Random batches mixing repeated slot sequences (grouped into one
   // pyramid walk) with singletons, duplicates and noise, in both
-  // domains: every member's result must equal its own single-sweep
-  // argmax bit for bit -- grouping is a speed decision, never a result
+  // domains: every member's result must equal the peak of its own full
+  // surface bit for bit -- grouping is a speed decision, never a result
   // decision.
   std::mt19937_64 rng(13579);
   std::uniform_real_distribution<double> az(-60.0, 60.0);
@@ -383,7 +394,6 @@ TEST(ArgmaxBatch, BitIdenticalToSingleSweepAcrossGroupings) {
        {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
     const CorrelationEngine engine(synthetic_table(), synthetic_grid(), domain);
     CorrelationWorkspace batch_ws;
-    CorrelationWorkspace single_ws;
     for (int trial = 0; trial < 20; ++trial) {
       std::uniform_int_distribution<std::size_t> batch_size(1, 12);
       const std::size_t k = batch_size(rng);
@@ -408,20 +418,12 @@ TEST(ArgmaxBatch, BitIdenticalToSingleSweepAcrossGroupings) {
       std::vector<CorrelationEngine::ArgmaxResult> batched(k);
       engine.combined_argmax_batch(views, batched, batch_ws);
       for (std::size_t i = 0; i < k; ++i) {
-        const auto single = engine.combined_argmax(sweeps[i], single_ws);
-        EXPECT_EQ(batched[i].index, single.index) << "member " << i;
-        EXPECT_EQ(batched[i].value, single.value) << "member " << i;
-        EXPECT_EQ(batched[i].direction.azimuth_deg,
-                  single.direction.azimuth_deg);
+        const auto peak = surface_peak(engine, sweeps[i]);
+        EXPECT_EQ(batched[i].index, peak.index) << "member " << i;
+        EXPECT_EQ(batched[i].value, peak.value) << "member " << i;
+        EXPECT_EQ(batched[i].direction.azimuth_deg, peak.direction.azimuth_deg);
         EXPECT_EQ(batched[i].direction.elevation_deg,
-                  single.direction.elevation_deg);
-      }
-      // The throwaway-workspace overload agrees.
-      const auto cold = engine.combined_argmax_batch(views);
-      ASSERT_EQ(cold.size(), k);
-      for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_EQ(cold[i].index, batched[i].index);
-        EXPECT_EQ(cold[i].value, batched[i].value);
+                  peak.direction.elevation_deg);
       }
     }
   }
@@ -467,7 +469,7 @@ TEST(ArgmaxBatch, SteadyStateStopsGrowing) {
 }
 
 TEST_F(ForcedScalarDispatch, BatchBitIdenticalOnScalarFallback) {
-  // Batch-vs-single equality re-checked with the scalar kernel pinned.
+  // Batch-vs-surface equality re-checked with the scalar kernel pinned.
   ASSERT_EQ(tile_dots_dispatch_level(), SimdLevel::kScalar);
   const CorrelationEngine engine(synthetic_table(), synthetic_grid());
   CorrelationWorkspace ws;
@@ -480,9 +482,9 @@ TEST_F(ForcedScalarDispatch, BatchBitIdenticalOnScalarFallback) {
   std::vector<CorrelationEngine::ArgmaxResult> out(sweeps.size());
   engine.combined_argmax_batch(views, out, ws);
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const auto single = engine.combined_argmax(sweeps[i]);
-    EXPECT_EQ(out[i].index, single.index);
-    EXPECT_EQ(out[i].value, single.value);
+    const auto peak = surface_peak(engine, sweeps[i]);
+    EXPECT_EQ(out[i].index, peak.index);
+    EXPECT_EQ(out[i].value, peak.value);
   }
 }
 

@@ -32,17 +32,17 @@ class CssDaemonTest : public ::testing::Test {
 
 TEST_F(CssDaemonTest, LoadsPatchesOnConstruction) {
   EXPECT_FALSE(driver_.research_patches_loaded());
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(1));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(1));
   EXPECT_TRUE(driver_.research_patches_loaded());
-  EXPECT_EQ(daemon.current_probes(), 14u);
+  EXPECT_EQ(daemon.session(0).current_probes(), 14u);
 }
 
 TEST_F(CssDaemonTest, SubsetsAreValidAndVary) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(2));
-  const auto a = daemon.next_probe_subset();
-  const auto b = daemon.next_probe_subset();
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(2));
+  const auto a = daemon.session(0).next_probe_subset();
+  const auto b = daemon.session(0).next_probe_subset();
   EXPECT_EQ(a.size(), 14u);
   EXPECT_NE(a, b);
   for (int id : a) {
@@ -52,16 +52,16 @@ TEST_F(CssDaemonTest, SubsetsAreValidAndVary) {
 }
 
 TEST_F(CssDaemonTest, ProcessSweepSelectsAndForcesSector) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(3));
-  const auto subset = daemon.next_probe_subset();
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(3));
+  const auto subset = daemon.session(0).next_probe_subset();
   link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-  const auto result = daemon.process_sweep();
+  const auto result = daemon.session(0).process_sweep();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->valid);
   EXPECT_TRUE(driver_.sector_forced());
   EXPECT_EQ(lab_.peer->firmware().sector_override(), result->sector_id);
-  EXPECT_EQ(daemon.rounds(), 1u);
+  EXPECT_EQ(daemon.session(0).rounds(), 1u);
 
   // The forced sector is near-optimal toward the DUT.
   double best = -1e9;
@@ -75,10 +75,10 @@ TEST_F(CssDaemonTest, ProcessSweepSelectsAndForcesSector) {
 }
 
 TEST_F(CssDaemonTest, EmptySweepKeepsPreviousOverride) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(4));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(4));
   // No sweep happened: the ring buffer is empty.
-  const auto result = daemon.process_sweep();
+  const auto result = daemon.session(0).process_sweep();
   EXPECT_FALSE(result.has_value());
   EXPECT_FALSE(driver_.sector_forced());
 }
@@ -86,21 +86,22 @@ TEST_F(CssDaemonTest, EmptySweepKeepsPreviousOverride) {
 TEST_F(CssDaemonTest, AdaptiveModeAdjustsProbeCount) {
   CssDaemonConfig config;
   config.adaptive = true;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(5));
-  const std::size_t initial = daemon.current_probes();
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(5));
+  const std::size_t initial = daemon.session(0).current_probes();
   for (int round = 0; round < 30; ++round) {
-    const auto subset = daemon.next_probe_subset();
+    const auto subset = daemon.session(0).next_probe_subset();
     link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-    daemon.process_sweep();
+    daemon.session(0).process_sweep();
   }
   // Static scene at a dominant-sector pose: probes decay below the start.
-  EXPECT_LT(daemon.current_probes(), initial);
+  EXPECT_LT(daemon.session(0).current_probes(), initial);
 }
 
 TEST_F(CssDaemonTest, RunsWithPrePatchedFirmware) {
   driver_.load_research_patches();
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(6));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(6));
   EXPECT_TRUE(driver_.research_patches_loaded());
 }
 
@@ -143,8 +144,8 @@ TEST_F(CssDaemonTest, TwoSessionsShareOnePatternAssetsInstance) {
 }
 
 TEST_F(CssDaemonTest, DuplicateLinkIdThrows) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(8));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(8));
   Scenario second = make_lab_scenario(42);
   Wil6210Driver second_driver(second.peer->firmware());
   EXPECT_THROW(daemon.add_link(0, second_driver, Rng(9)), StateError);
@@ -157,8 +158,8 @@ TEST_F(CssDaemonTest, UnknownSectorsAreDroppedCountedAndWarnedOnce) {
   // table never covered (e.g. a codebook/campaign mismatch). The session
   // must drop them from selection, count them, and warn exactly once per
   // distinct unknown ID -- not once per sweep.
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(11));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(11));
   auto inject_unknown = [&](int id) {
     FullMacFirmware& fw = lab_.peer->firmware();
     fw.begin_peer_sweep();
@@ -171,20 +172,20 @@ TEST_F(CssDaemonTest, UnknownSectorsAreDroppedCountedAndWarnedOnce) {
   ::testing::internal::CaptureStderr();
   // Round 1: a real sweep plus two readings of unknown sector 40.
   link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                       probing_burst_schedule(daemon.next_probe_subset()));
+                       probing_burst_schedule(daemon.session(0).next_probe_subset()));
   inject_unknown(40);
   inject_unknown(40);
-  const auto first = daemon.process_sweep();
+  const auto first = daemon.session(0).process_sweep();
   ASSERT_TRUE(first.has_value());
   EXPECT_TRUE(first->valid);  // the known readings still select
   EXPECT_EQ(daemon.session(0).dropped_probes(), 2u);
 
   // Round 2: sector 40 again (already warned) plus new unknown sector 41.
   link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                       probing_burst_schedule(daemon.next_probe_subset()));
+                       probing_burst_schedule(daemon.session(0).next_probe_subset()));
   inject_unknown(40);
   inject_unknown(41);
-  ASSERT_TRUE(daemon.process_sweep().has_value());
+  ASSERT_TRUE(daemon.session(0).process_sweep().has_value());
   EXPECT_EQ(daemon.session(0).dropped_probes(), 4u);
 
   const std::string log = ::testing::internal::GetCapturedStderr();
@@ -205,15 +206,15 @@ TEST_F(CssDaemonTest, SteadySubsetsHitThePanelCache) {
   // subset; with the default random policy the cache still amortizes --
   // every sweep is one miss at most, and the selection path adds no
   // lookup traffic beyond it.
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(12));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  daemon.add_link(0, driver_, Rng(12));
   const ResponseMatrix& matrix =
       daemon.assets()->engine().response_matrix();
   const auto before = matrix.cache_stats();
   for (int round = 0; round < 10; ++round) {
     link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                         probing_burst_schedule(daemon.next_probe_subset()));
-    ASSERT_TRUE(daemon.process_sweep().has_value());
+                         probing_burst_schedule(daemon.session(0).next_probe_subset()));
+    ASSERT_TRUE(daemon.session(0).process_sweep().has_value());
   }
   const auto after = matrix.cache_stats();
   EXPECT_LE(after.misses - before.misses, 10u);
@@ -427,20 +428,20 @@ TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
 TEST_F(CssDaemonTest, PathTrackingStabilizesSelections) {
   CssDaemonConfig tracked_config;
   tracked_config.track_path = true;
-  CssDaemon tracked(driver_, ExperimentWorld::instance().table, tracked_config,
-                    Rng(7));
+  CssDaemon tracked(ExperimentWorld::instance().assets(), tracked_config);
+  tracked.add_link(0, driver_, Rng(7));
   std::vector<int> selections;
   for (int round = 0; round < 25; ++round) {
-    const auto subset = tracked.next_probe_subset();
+    const auto subset = tracked.session(0).next_probe_subset();
     link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-    if (const auto r = tracked.process_sweep()) selections.push_back(r->sector_id);
+    if (const auto r = tracked.session(0).process_sweep()) selections.push_back(r->sector_id);
   }
   ASSERT_GE(selections.size(), 20u);
   // The tracked daemon locks onto one sector on a static link.
   EXPECT_GE(selection_stability(selections), 0.85);
-  ASSERT_TRUE(tracked.tracked_direction().has_value());
+  ASSERT_TRUE(tracked.session(0).tracked_direction().has_value());
   // Head at +25 deg puts the peer at -25 deg in the device frame.
-  EXPECT_LE(azimuth_distance_deg(tracked.tracked_direction()->azimuth_deg, -25.0),
+  EXPECT_LE(azimuth_distance_deg(tracked.session(0).tracked_direction()->azimuth_deg, -25.0),
             6.0);
 }
 

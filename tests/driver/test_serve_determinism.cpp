@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -231,6 +233,33 @@ TEST(ServeDeterminism, GuardsItsSingleConsumerAndTopologyContracts) {
   serve.stop();
   EXPECT_NO_THROW(serve.add_link(4, link_rng(4)));
   EXPECT_EQ(serve.daemon().session_count(), 2u);
+}
+
+TEST(ServeHostileInput, NanSnrReportIsServedAndDaemonKeepsServing) {
+  // One report with a NaN SNR reaches the consumer thread. The reading is
+  // dropped like a missed probe: the report is processed, and the daemon
+  // serves the reports after it. Both the batched stateless path and the
+  // stateful (tracking, degradation) path are exercised.
+  auto assets = make_serve_assets();
+  for (const CssDaemonConfig& config : {CssDaemonConfig{}, session_config()}) {
+    ServeDaemon serve(assets, config);
+    serve.add_link(0, link_rng(0));
+    serve.start();
+    auto hostile = make_report(kReportSeed, 0, 0, assets->patterns());
+    hostile[2].snr_db = std::numeric_limits<double>::quiet_NaN();
+    serve.submit(0, hostile);
+    for (std::uint64_t r = 1; r < 6; ++r) {
+      serve.submit(0, make_report(kReportSeed, 0, r, assets->patterns()));
+    }
+    serve.stop();
+    serve.drain_all();
+    EXPECT_EQ(serve.processed(), 6u);
+    EXPECT_EQ(serve.daemon().session(0).rounds(), 6u);
+    const std::optional<int>& installed =
+        serve.daemon().session(0).last_installed_sector();
+    ASSERT_TRUE(installed.has_value());
+    EXPECT_TRUE(assets->patterns().contains(*installed));
+  }
 }
 
 }  // namespace

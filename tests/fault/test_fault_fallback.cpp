@@ -26,8 +26,8 @@ class FaultFallbackTest : public ::testing::Test {
 
   std::optional<CssResult> round(CssDaemon& daemon) {
     link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                         probing_burst_schedule(daemon.next_probe_subset()));
-    return daemon.process_sweep();
+                         probing_burst_schedule(daemon.session(0).next_probe_subset()));
+    return daemon.session(0).process_sweep();
   }
 
   Scenario lab_;
@@ -51,8 +51,9 @@ TEST_F(FaultFallbackTest, ConfidenceModeSelectsBitIdentically) {
   const CompressiveSectorSelector gated(ExperimentWorld::instance().table,
                                         with_confidence);
 
-  const CssResult a = plain.select(readings);
-  const CssResult b = gated.select(readings);
+  CorrelationWorkspace ws;
+  const CssResult a = plain.select(readings, plain.assets()->tx_candidates(), ws);
+  const CssResult b = gated.select(readings, gated.assets()->tx_candidates(), ws);
   ASSERT_TRUE(a.valid);
   ASSERT_TRUE(b.valid);
   EXPECT_EQ(a.sector_id, b.sector_id);
@@ -73,7 +74,8 @@ TEST_F(FaultFallbackTest, LowConfidenceWithholdsTheInstall) {
   config.degradation.enabled = true;
   config.degradation.min_confidence = 1e9;  // nothing can clear this bar
   config.degradation.max_consecutive_failures = 1000;  // stay in CSS mode
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(2));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(2));
 
   const auto result = round(daemon);
   ASSERT_TRUE(result.has_value());
@@ -97,7 +99,8 @@ TEST_F(FaultFallbackTest, RepeatedFailuresTripFullSweepMode) {
   config.degradation.min_confidence = 1e9;
   config.degradation.max_consecutive_failures = 3;
   config.degradation.recovery_rounds = 2;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(3));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(3));
   LinkSession& session = daemon.session(0);
 
   // Three low-confidence rounds trip the fallback...
@@ -109,10 +112,10 @@ TEST_F(FaultFallbackTest, RepeatedFailuresTripFullSweepMode) {
 
   // ...where the session probes every transmit sector and selects with the
   // stock argmax (which needs no confidence, so these rounds succeed).
-  const auto subset = daemon.next_probe_subset();
+  const auto subset = session.next_probe_subset();
   EXPECT_EQ(subset.size(), talon_tx_sector_ids().size());
   link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-  const auto full = daemon.process_sweep();
+  const auto full = session.process_sweep();
   ASSERT_TRUE(full.has_value());
   EXPECT_TRUE(full->valid);
   EXPECT_TRUE(session.in_fallback());  // one recovery round left
@@ -139,10 +142,11 @@ TEST_F(FaultFallbackTest, EmptySweepsCountAsFailures) {
   CssDaemonConfig config;
   config.degradation.enabled = true;
   config.degradation.max_consecutive_failures = 3;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(4));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(4));
   // Nothing was ever transmitted: three empty drains trip the fallback.
   for (int r = 0; r < 3; ++r) {
-    EXPECT_FALSE(daemon.process_sweep().has_value());
+    EXPECT_FALSE(daemon.session(0).process_sweep().has_value());
   }
   EXPECT_TRUE(daemon.session(0).in_fallback());
   EXPECT_EQ(daemon.session(0).degradation_stats().failed_rounds, 3u);
@@ -153,14 +157,15 @@ TEST_F(FaultFallbackTest, HealthyRoundsResetTheFailureCount) {
   config.degradation.enabled = true;
   config.degradation.min_confidence = 0.0;  // confidence can never trip
   config.degradation.max_consecutive_failures = 3;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(5));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(5));
 
   // failure, failure, healthy, failure, failure: never three in a row.
-  EXPECT_FALSE(daemon.process_sweep().has_value());
-  EXPECT_FALSE(daemon.process_sweep().has_value());
+  EXPECT_FALSE(daemon.session(0).process_sweep().has_value());
+  EXPECT_FALSE(daemon.session(0).process_sweep().has_value());
   ASSERT_TRUE(round(daemon).has_value());
-  EXPECT_FALSE(daemon.process_sweep().has_value());
-  EXPECT_FALSE(daemon.process_sweep().has_value());
+  EXPECT_FALSE(daemon.session(0).process_sweep().has_value());
+  EXPECT_FALSE(daemon.session(0).process_sweep().has_value());
   EXPECT_FALSE(daemon.session(0).in_fallback());
 
   const DegradationStats& stats = daemon.session(0).degradation_stats();
@@ -176,7 +181,8 @@ TEST_F(FaultFallbackTest, PersistentFailureCyclesThroughRecoveryWindows) {
   config.degradation.max_consecutive_failures = 2;
   config.degradation.recovery_rounds = 2;
   config.degradation.max_recovery_backoff = 1;  // fixed-size windows
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(6));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(6));
   for (int r = 0; r < 12; ++r) {
     ASSERT_TRUE(round(daemon).has_value()) << "round " << r;
   }
@@ -196,7 +202,8 @@ TEST_F(FaultFallbackTest, RecoveryWindowsBackOffExponentially) {
   config.degradation.max_consecutive_failures = 1;
   config.degradation.recovery_rounds = 1;
   config.degradation.max_recovery_backoff = 4;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(7));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(7));
   // Persistent failure: each re-entry doubles the window up to the cap.
   //   fail, 1 full, fail, 2 full, fail, 4 full, fail, 4 full, ...
   for (int r = 0; r < 15; ++r) {
@@ -219,7 +226,8 @@ TEST_F(FaultFallbackTest, UnderfilledSweepsAreDistrusted) {
   plan->seed = 11;
   plan->loss.probability = 0.95;  // ~0.7 of 14 probes survive on average
   config.faults = plan;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(8));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  daemon.add_link(0, driver_, Rng(8));
 
   for (int r = 0; r < 10; ++r) round(daemon);
   const DegradationStats& stats = daemon.session(0).degradation_stats();
@@ -242,19 +250,20 @@ TEST_F(FaultFallbackTest, DisabledDegradationReproducesLegacySelections) {
   CssDaemonConfig gated;
   gated.degradation.enabled = true;
   gated.degradation.min_confidence = 0.0;
-  CssDaemon legacy(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(9));
-  CssDaemon robust(other_driver, ExperimentWorld::instance().table, gated, Rng(9));
+  CssDaemon legacy(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  legacy.add_link(0, driver_, Rng(9));
+  CssDaemon robust(ExperimentWorld::instance().assets(), gated);
+  robust.add_link(0, other_driver, Rng(9));
 
   for (int r = 0; r < 8; ++r) {
-    const auto subset_a = legacy.next_probe_subset();
-    const auto subset_b = robust.next_probe_subset();
+    const auto subset_a = legacy.session(0).next_probe_subset();
+    const auto subset_b = robust.session(0).next_probe_subset();
     ASSERT_EQ(subset_a, subset_b) << "round " << r;
     link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset_a));
     other_link.transmit_sweep(*other.dut, *other.peer,
                               probing_burst_schedule(subset_b));
-    const auto a = legacy.process_sweep();
-    const auto b = robust.process_sweep();
+    const auto a = legacy.session(0).process_sweep();
+    const auto b = robust.session(0).process_sweep();
     ASSERT_EQ(a.has_value(), b.has_value()) << "round " << r;
     if (a) {
       EXPECT_EQ(a->sector_id, b->sector_id) << "round " << r;

@@ -32,8 +32,8 @@ class FaultInjectionTest : public ::testing::Test {
   /// One training round driven through the daemon's first session.
   std::optional<CssResult> round(CssDaemon& daemon) {
     link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                         probing_burst_schedule(daemon.next_probe_subset()));
-    return daemon.process_sweep();
+                         probing_burst_schedule(daemon.session(0).next_probe_subset()));
+    return daemon.session(0).process_sweep();
   }
 
   Scenario lab_;
@@ -42,24 +42,24 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectionTest, NullAndEmptyPlansInstallNoInjector) {
-  CssDaemon plain(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                  Rng(1));
+  CssDaemon plain(ExperimentWorld::instance().assets(), CssDaemonConfig{});
+  plain.add_link(0, driver_, Rng(1));
   EXPECT_EQ(plain.session(0).fault_injector(), nullptr);
   EXPECT_EQ(plain.session(0).fault_stats(), FaultStats{});
 
   // A present-but-empty plan behaves exactly like no plan.
   Scenario second = make_lab_scenario(42);
   Wil6210Driver second_driver(second.peer->firmware());
-  CssDaemon empty(second_driver, ExperimentWorld::instance().table,
-                  config_with(FaultPlan{.seed = 5}), Rng(1));
+  CssDaemon empty(ExperimentWorld::instance().assets(), config_with(FaultPlan{.seed = 5}));
+  empty.add_link(0, second_driver, Rng(1));
   EXPECT_EQ(empty.session(0).fault_injector(), nullptr);
 }
 
 TEST_F(FaultInjectionTest, SessionSharesItsInjectorWithTheFirmware) {
   FaultPlan plan{.seed = 7};
   plan.loss.probability = 0.2;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(2));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(2));
   const auto& injector = daemon.session(0).fault_injector();
   ASSERT_NE(injector, nullptr);
   EXPECT_EQ(lab_.peer->firmware().fault_injector().get(), injector.get());
@@ -69,8 +69,8 @@ TEST_F(FaultInjectionTest, SessionSharesItsInjectorWithTheFirmware) {
 TEST_F(FaultInjectionTest, ProbeLossThinsTheSweepButSelectionSurvives) {
   FaultPlan plan{.seed = 11};
   plan.loss.probability = 0.3;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(3));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(3));
   std::size_t selected = 0;
   for (int r = 0; r < 10; ++r) {
     if (round(daemon)) ++selected;
@@ -85,8 +85,8 @@ TEST_F(FaultInjectionTest, ProbeLossThinsTheSweepButSelectionSurvives) {
 TEST_F(FaultInjectionTest, TotalLossYieldsEmptySweeps) {
   FaultPlan plan{.seed = 13};
   plan.loss.probability = 1.0;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(4));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(4));
   EXPECT_FALSE(round(daemon).has_value());
   EXPECT_FALSE(driver_.sector_forced());
   // Every decoded probe of the sweep was eaten (the channel may have
@@ -100,8 +100,8 @@ TEST_F(FaultInjectionTest, CorruptionCountersTrackTheSweepPath) {
   FaultPlan plan{.seed = 17};
   plan.corruption.snr_outlier_probability = 0.5;
   plan.corruption.floor_clamp_probability = 0.2;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(5));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(5));
   for (int r = 0; r < 10; ++r) round(daemon);
   const FaultStats stats = daemon.session(0).fault_stats();
   EXPECT_GT(stats.snr_outliers, 30u);
@@ -194,8 +194,8 @@ TEST_F(FaultInjectionTest, DroppedFeedbackRetriesWithExponentialBackoff) {
   plan.feedback.drop_probability = 1.0;  // every attempt lost
   plan.feedback.max_retries = 3;
   plan.feedback.backoff_base_us = 100.0;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(6));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(6));
   const auto result = round(daemon);
   ASSERT_TRUE(result.has_value());  // the selection itself succeeded
   EXPECT_FALSE(driver_.sector_forced());  // ...but never reached the chip
@@ -211,8 +211,8 @@ TEST_F(FaultInjectionTest, RetriesRecoverFromPartialFeedbackLoss) {
   FaultPlan plan{.seed = 41};
   plan.feedback.drop_probability = 0.5;
   plan.feedback.max_retries = 8;  // 9 attempts: loss of all is ~0.2%
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(7));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(7));
   std::size_t forced_rounds = 0;
   for (int r = 0; r < 10; ++r) {
     if (round(daemon) && driver_.sector_forced()) ++forced_rounds;
@@ -227,8 +227,8 @@ TEST_F(FaultInjectionTest, FeedbackDelayAccumulatesLatency) {
   FaultPlan plan{.seed = 43};
   plan.feedback.delay_probability = 1.0;
   plan.feedback.delay_us = 500.0;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(8));
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config_with(plan));
+  daemon.add_link(0, driver_, Rng(8));
   ASSERT_TRUE(round(daemon).has_value());
   EXPECT_TRUE(driver_.sector_forced());  // delayed, not dropped
   const FaultStats stats = daemon.session(0).fault_stats();

@@ -8,8 +8,8 @@
 
 #include "src/core/adaptive.hpp"
 #include "src/core/css.hpp"
+#include "src/core/selector.hpp"
 #include "src/common/units.hpp"
-#include "src/core/multipath.hpp"
 #include "src/core/ssw.hpp"
 #include "src/core/subset_policy.hpp"
 #include "src/mac/monitor.hpp"
@@ -59,7 +59,8 @@ TEST(EndToEnd, UserSpaceCssViaFirmwareInterfaces) {
   // The full Sec. 3 integration: probing sweep, ring-buffer readout via
   // WMI, CSS in "user space", override via WMI, feedback carries it.
   const ExperimentWorld& world = ExperimentWorld::instance();
-  const CompressiveSectorSelector css(world.table);
+  const CompressiveSectorSelector css_core(world.table);
+  CssSelector css(css_core);
 
   Scenario lab = make_lab_scenario(42);
   lab.set_head(-30.0, 0.0);
@@ -114,7 +115,8 @@ TEST(EndToEnd, CssWith14ProbesMatchesSswQuality) {
   // The headline claim (Sec. 6.5): 14 of 34 probes suffice to match the
   // sweep's selection quality, at 2.3x lower training time.
   const ExperimentWorld& world = ExperimentWorld::instance();
-  const CompressiveSectorSelector css(world.table);
+  const CompressiveSectorSelector css_core(world.table);
+  CssSelector css(css_core);
   CssSelector selector(css);
   RandomSubsetPolicy policy;
   const std::vector<std::size_t> probes{14};
@@ -133,8 +135,10 @@ TEST(EndToEnd, PatternTableSurvivesCsvRoundTripIntoCss) {
   // identically -- the paper publishes its patterns as data files.
   const ExperimentWorld& world = ExperimentWorld::instance();
   const PatternTable reloaded = PatternTable::from_csv(world.table.to_csv());
-  const CompressiveSectorSelector css_a(world.table);
-  const CompressiveSectorSelector css_b(reloaded);
+  const CompressiveSectorSelector core_a(world.table);
+  const CompressiveSectorSelector core_b(reloaded);
+  CssSelector css_a(core_a);
+  CssSelector css_b(core_b);
 
   Scenario lab = make_lab_scenario(42);
   lab.set_head(20.0, 0.0);
@@ -159,7 +163,8 @@ TEST(EndToEnd, AdaptiveControllerConvergesInStaticScene) {
   // benign tie-flips between two near-equal sectors are debounced, and
   // stable runs decay the count toward the floor.
   const ExperimentWorld& world = ExperimentWorld::instance();
-  const CompressiveSectorSelector css(world.table);
+  const CompressiveSectorSelector css_core(world.table);
+  CssSelector css(css_core);
   Scenario lab = make_lab_scenario(42);
   // Head at 20 deg: one sector clearly dominates there (no boresight tie),
   // so a static link yields a stable selection stream.
@@ -190,7 +195,8 @@ TEST(EndToEnd, BlockageRecoveryViaReflectedPath) {
   // shifts to the reflected path's direction and the new sector restores a
   // usable link.
   const ExperimentWorld& world = ExperimentWorld::instance();
-  const CompressiveSectorSelector css(world.table);
+  const CompressiveSectorSelector css_core(world.table);
+  CssSelector css(css_core);
 
   Scenario conf = make_conference_scenario(42);
   conf.set_head(0.0, 0.0);

@@ -6,6 +6,8 @@
 
 #include <memory>
 
+#include "src/core/css.hpp"
+#include "src/core/pattern_assets.hpp"
 #include "src/measure/campaign.hpp"
 #include "src/sim/experiment.hpp"
 
@@ -19,6 +21,12 @@ struct ExperimentWorld {
   static const ExperimentWorld& instance() {
     static const ExperimentWorld world = build();
     return world;
+  }
+
+  /// The table's shared assets on the default CSS grid and domain.
+  std::shared_ptr<const PatternAssets> assets() const {
+    return PatternAssetsRegistry::global().get_or_create(
+        table, CssConfig{}.search_grid, CssConfig{}.domain);
   }
 
  private:
