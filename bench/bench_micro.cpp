@@ -5,7 +5,10 @@
 // the baseline argmax and the firmware-path primitives.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -52,6 +55,61 @@ void BM_CssSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CssSelect)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
+
+/// A fresh probe order every call: noise-free readings of every transmit
+/// sector toward one direction, shuffled, the first M taken. Every call is
+/// a new slot sequence, like the random subset CSS probes on every
+/// training; the shuffle costs well under a microsecond.
+class FreshSubsets {
+ public:
+  explicit FreshSubsets(std::size_t m) : m_(m) {
+    for (const int id : talon_tx_sector_ids()) {
+      const double v = shared_table().sample_db(id, Direction{20.0, 5.0});
+      all_.push_back(SectorReading{.sector_id = id, .snr_db = v, .rssi_dbm = v - 60.0});
+    }
+    m_ = std::min(m_, all_.size());
+  }
+  std::span<const SectorReading> next() {
+    std::shuffle(all_.begin(), all_.end(), rng_);
+    return {all_.data(), m_};
+  }
+
+ private:
+  std::vector<SectorReading> all_;
+  std::size_t m_;
+  std::mt19937_64 rng_{2024};
+};
+
+void BM_PanelBuildOneShot(benchmark::State& state) {
+  // One subset panel per call for a slot sequence seen once: the fused
+  // build into the thread's reused scratch panel, nothing retained.
+  const CorrelationEngine engine(shared_table(), CssConfig{}.search_grid);
+  const ResponseMatrix& matrix = engine.response_matrix();
+  FreshSubsets subsets(static_cast<std::size_t>(state.range(0)));
+  std::vector<int> slots;
+  for (auto _ : state) {
+    slots.clear();
+    for (const SectorReading& r : subsets.next()) slots.push_back(matrix.slot(r.sector_id));
+    benchmark::DoNotOptimize(matrix.lease(slots).panel.get());
+  }
+  state.counters["cached"] = static_cast<double>(matrix.cached_subset_count());
+}
+BENCHMARK(BM_PanelBuildOneShot)->Arg(6)->Arg(14)->Arg(34);
+
+void BM_CssSelectFreshSubset(benchmark::State& state) {
+  // The serving steady state: one selector (one workspace) and a new
+  // random subset every call, so every select builds a one-shot panel.
+  // Compare with BM_CssSelect, whose subset repeats and hits the cache.
+  const CompressiveSectorSelector css(shared_table());
+  CssSelector selector(css);
+  FreshSubsets subsets(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(selector.select(subsets.next()));
+  }
+  state.counters["cached"] =
+      static_cast<double>(css.assets()->engine().response_matrix().cached_subset_count());
+}
+BENCHMARK(BM_CssSelectFreshSubset)->Arg(6)->Arg(14)->Arg(34);
 
 void BM_CssSelectGridResolution(benchmark::State& state) {
   // Cost vs search-grid resolution (azimuth step in tenths of a degree).

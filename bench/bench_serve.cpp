@@ -149,12 +149,14 @@ bool run_throughput(int links, std::uint64_t rounds, int threads,
   });
   // Hot swap mid-run, while producer and consumer are both live.
   auto recalibrated = serve_assets(3.0);
-  while (serve.processed() < total / 2) {
+  while (serve.processed() + serve.dropped() < total / 2) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   serve.swap_assets(recalibrated);
   producer.join();
-  while (serve.processed() < total) {
+  // A quarantined link's reports are dropped, not processed; count them
+  // as settled so the wait ends and the check below reports them.
+  while (serve.processed() + serve.dropped() < total) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   const auto t1 = std::chrono::steady_clock::now();

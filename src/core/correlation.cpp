@@ -20,9 +20,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Probe counts at or below this are eligible for combined_surface's
 /// non-tiled direct walk through the full response matrix -- taken only
 /// while the subset looks one-shot (no cached panel yet, see
-/// ResponseMatrix::panel_if_warm): at tiny M a panel build costs more
-/// than the single walk it would replace, but once a subset repeats the
-/// compacted panel's streaming reads win, so it gets built then.
+/// ResponseMatrix::panel_if_warm): at tiny M even a scratch panel build
+/// costs more than the single walk it would replace, but once a subset
+/// repeats the compacted panel's streaming reads win, so it gets built
+/// then.
 constexpr std::size_t kDirectSurfaceMaxM = 8;
 
 double to_domain(double db_value, CorrelationDomain domain) {
@@ -167,6 +168,8 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
   TALON_EXPECTS(p_norm_sq > 0.0);
   const double p_norm = std::sqrt(p_norm_sq);
 
+  // Retained on first use: the SNR-only surface serves the Eq. 2
+  // ablation and the figure analyses, which revisit their subsets.
   const std::shared_ptr<const SubsetPanel> panel = matrix_.panel(probes.slots);
   const SubsetPanel& pan = *panel;
   const std::size_t m_count = pan.m();
@@ -216,48 +219,23 @@ Grid2D CorrelationEngine::combined_surface(
 
   // Small-M one-shot fast path: on the first sighting of a subset,
   // walking the full response matrix rows directly beats building a
-  // panel this call might use once (the build itself walks the whole
-  // matrix). Once the subset repeats -- panel_if_warm promotes it on the
-  // second sighting -- the compacted tile walk below wins: it streams
-  // M*8 bytes per point through the SIMD kernel instead of gathering
-  // from the full sector row. Both paths are bit-identical: per point,
-  // the dots, the norm and the epilogue all accumulate in the same
+  // panel this call might use once (even a scratch build gathers the
+  // whole matrix). Once the subset repeats -- panel_if_warm promotes it
+  // on the second sighting -- the compacted tile walk below wins: it
+  // streams M*8 bytes per point through the SIMD kernel instead of
+  // gathering from the full sector row. Both paths are bit-identical: per
+  // point, the dots, the norm and the epilogue all accumulate in the same
   // ascending sequence order (the panel's values and norms are built in
   // exactly this order).
   std::shared_ptr<const SubsetPanel> panel =
       probes.slots.size() <= kDirectSurfaceMaxM
           ? matrix_.panel_if_warm(probes.slots)
-          : matrix_.panel(probes.slots);
-  if (panel == nullptr && probes.slots.size() <= kDirectSurfaceMaxM) {
-    const std::size_t m_count = probes.slots.size();
-    const int* slots = probes.slots.data();
-    const double* ps = probes.snr.data();
-    const double* pr = probes.rssi.data();
-    const std::size_t points = matrix_.points();
-    for (std::size_t g = 0; g < points; ++g) {
-      const std::span<const double> row = matrix_.point(g);
-      double ds = 0.0;
-      double dr = 0.0;
-      double x_norm_sq = 0.0;
-      for (std::size_t m = 0; m < m_count; ++m) {
-        const double x = row[static_cast<std::size_t>(slots[m])];
-        ds += ps[m] * x;
-        dr += pr[m] * x;
-        x_norm_sq += x * x;
-      }
-      if (x_norm_sq <= 0.0) {
-        w[g] = 0.0;
-        continue;
-      }
-      const double x_norm = std::sqrt(x_norm_sq);
-      const double cs = ds / (snr_norm * x_norm);
-      const double cr = dr / (rssi_norm * x_norm);
-      w[g] = (cs * cs) * (cr * cr);
-    }
+          : matrix_.lease(probes.slots).panel;
+  if (panel == nullptr) {
+    direct_surface(probes, snr_norm, rssi_norm, w);
     return out;
   }
 
-  if (panel == nullptr) panel = matrix_.panel(probes.slots);
   const SubsetPanel& pan = *panel;
   const std::size_t m_count = pan.m();
 
@@ -285,13 +263,55 @@ Grid2D CorrelationEngine::combined_surface(
   return out;
 }
 
-const SubsetPanel& CorrelationEngine::resolve_panel(const std::vector<int>& slots,
-                                                     CorrelationWorkspace& ws) const {
-  if (!ws.panel_ || ws.panel_->slots != slots) {
-    ws.panel_ = matrix_.panel(slots);
+void CorrelationEngine::direct_surface(const ProbeVectors& probes, double snr_norm,
+                                       double rssi_norm, std::span<double> w) const {
+  const std::size_t m_count = probes.slots.size();
+  const int* slots = probes.slots.data();
+  const double* ps = probes.snr.data();
+  const double* pr = probes.rssi.data();
+  const std::size_t points = matrix_.points();
+  for (std::size_t g = 0; g < points; ++g) {
+    const std::span<const double> row = matrix_.point(g);
+    double ds = 0.0;
+    double dr = 0.0;
+    double x_norm_sq = 0.0;
+    for (std::size_t m = 0; m < m_count; ++m) {
+      const double x = row[static_cast<std::size_t>(slots[m])];
+      ds += ps[m] * x;
+      dr += pr[m] * x;
+      x_norm_sq += x * x;
+    }
+    if (x_norm_sq <= 0.0) {
+      w[g] = 0.0;
+      continue;
+    }
+    const double x_norm = std::sqrt(x_norm_sq);
+    const double cs = ds / (snr_norm * x_norm);
+    const double cr = dr / (rssi_norm * x_norm);
+    w[g] = (cs * cs) * (cr * cr);
+  }
+}
+
+const SubsetPanel& CorrelationEngine::resolve_panel(
+    const std::vector<int>& slots, CorrelationWorkspace& ws,
+    std::shared_ptr<const SubsetPanel>& scratch) const {
+  if (ws.panel_ && ws.panel_->slots == slots) return *ws.panel_;
+  // The workspace's previous sequence seen again is a repeat: it enters
+  // the shared cache. Anything else is a subset switch (charged once,
+  // not again on promotion) and may well be one-shot.
+  const bool repeat = ws.last_slots_ == slots;
+  if (!repeat) {
+    ws.last_slots_ = slots;
     ++ws.growth_events_;  // subset switch: cold path by definition
   }
-  return *ws.panel_;
+  ResponseMatrix::Lease lease = matrix_.lease(slots, repeat);
+  if (lease.cached) {
+    ws.panel_ = std::move(lease.panel);
+    return *ws.panel_;
+  }
+  ws.panel_.reset();  // a scratch panel is not the workspace's to keep
+  scratch = std::move(lease.panel);
+  return *scratch;
 }
 
 CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
@@ -309,9 +329,7 @@ CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
 
 void CorrelationEngine::argmax_group(
     std::span<const std::uint32_t> members, const SubsetPanel& pan,
-    std::span<const std::span<const SectorReading>> sweeps,
     std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const {
-  (void)sweeps;  // only the debug-build cross-check below reads them
   const std::size_t k_members = members.size();
   const std::size_t m_count = pan.m();
 
@@ -521,9 +539,16 @@ void CorrelationEngine::argmax_group(
       // The whole point of the bound algebra is that pruning changes
       // nothing -- whatever the grouping and the quantized screening --
       // so verify every member against the reference surface when
-      // asserts are on.
-      const Grid2D reference = combined_surface(sweeps[members[b]]);
-      const std::vector<double>& rv = reference.values();
+      // asserts are on. The reference walks the matrix rows, not a
+      // panel, so the check neither shares the walk's panel nor touches
+      // the panel cache.
+      const ProbeVectors& p = ws.batch_probes_[members[b]];
+      double snr_norm_sq = 0.0;
+      for (double v : p.snr) snr_norm_sq += v * v;
+      double rssi_norm_sq = 0.0;
+      for (double v : p.rssi) rssi_norm_sq += v * v;
+      std::vector<double> rv(matrix_.points());
+      direct_surface(p, std::sqrt(snr_norm_sq), std::sqrt(rssi_norm_sq), rv);
       const auto it = std::max_element(rv.begin(), rv.end());
       assert(static_cast<std::size_t>(it - rv.begin()) == out[members[b]].index);
       assert(*it == out[members[b]].value);
@@ -578,14 +603,16 @@ void CorrelationEngine::combined_argmax_batch(
   if (slots_of(0) == slots_of(n - 1)) {
     // One group (every single-sweep call): the workspace panel follows
     // it, so a caller re-probing one subset skips the matrix cache.
-    argmax_group(ws.batch_order_, resolve_panel(slots_of(0), ws), sweeps, out, ws);
+    std::shared_ptr<const SubsetPanel> scratch;
+    argmax_group(ws.batch_order_, resolve_panel(slots_of(0), ws, scratch), out, ws);
     return;
   }
   // Several groups: reuse the workspace panel when it matches, otherwise
-  // go through the matrix cache WITHOUT displacing ws.panel_ -- the
-  // groups would ping-pong it every call and turn the growth counter
-  // into noise. A cache hit under the shared lock allocates nothing, so
-  // the steady-state batch stays allocation-free either way.
+  // lease one WITHOUT displacing ws.panel_ -- the groups would ping-pong
+  // it every call and turn the growth counter into noise. A cache hit
+  // under the shared lock allocates nothing, and a one-shot group's
+  // lease ends with its walk, so the next group rebuilds the thread's
+  // scratch panel in place.
   std::size_t i0 = 0;
   while (i0 < n) {
     std::size_t i1 = i0 + 1;
@@ -593,12 +620,12 @@ void CorrelationEngine::combined_argmax_batch(
     std::shared_ptr<const SubsetPanel> local_panel;
     const SubsetPanel* pan = ws.panel_.get();
     if (!ws.panel_ || ws.panel_->slots != slots_of(i0)) {
-      local_panel = matrix_.panel(slots_of(i0));
+      local_panel = matrix_.lease(slots_of(i0)).panel;
       pan = local_panel.get();
     }
     argmax_group(std::span<const std::uint32_t>(ws.batch_order_.data() + i0,
                                                 i1 - i0),
-                 *pan, sweeps, out, ws);
+                 *pan, out, ws);
     i0 = i1;
   }
 }
@@ -627,7 +654,7 @@ std::vector<Grid2D> CorrelationEngine::combined_surface_batch(
   std::vector<double> rssi_norms;
   for (const auto& [slots, members] : panels) {
     const std::size_t batch = members.size();
-    const std::shared_ptr<const SubsetPanel> panel = matrix_.panel(slots);
+    const std::shared_ptr<const SubsetPanel> panel = matrix_.lease(slots).panel;
     const SubsetPanel& pan = *panel;
     const std::size_t m_count = pan.m();
 

@@ -12,7 +12,9 @@
 //
 // CorrelationEngine evaluates the correlation on top of a ResponseMatrix
 // (core/response_matrix.hpp): pattern responses resampled onto the search
-// grid once, compacted per probe subset into cached tile-blocked panels.
+// grid once, compacted per probe subset into tile-blocked panels (a
+// one-shot subset's into a per-thread scratch panel, a repeated one's
+// into the shared cache).
 // Eq. 5 runs as dense contiguous dot products with no per-element slot
 // indexing, either over the whole grid (combined_surface) or -- the
 // selection hot path -- as an exact branch-and-bound argmax that prunes
@@ -117,16 +119,20 @@ struct ProbeVectors {
 };
 
 /// Caller-owned scratch for the selection hot path (one per LinkSession /
-/// replay cell / daemon). Holds the collected probe vectors, the resolved
-/// subset panel and the branch-and-bound tile scratch, so that once warmed
+/// replay cell / daemon). Holds the collected probe vectors, the last slot
+/// sequence and its cached subset panel (never a one-shot scratch panel,
+/// so an idle workspace pins no panel) and the branch-and-bound tile
+/// scratch, so that once warmed
 /// up -- a few sweeps with the session's largest probe count and batch
 /// size -- repeated argmax and select calls perform zero heap
 /// allocations. Not thread-safe; give each concurrent caller its own
 /// workspace (panels themselves are shared and immutable).
 class CorrelationWorkspace {
  public:
-  /// Times any internal buffer had to grow (or a new panel had to be
-  /// resolved through the matrix cache) since construction. Steady state
+  /// Times any internal buffer had to grow (or the slot sequence
+  /// switched, so a panel had to be resolved through the matrix) since
+  /// construction; promoting a repeated sequence's panel into the cache
+  /// is not charged again. Steady state
   /// on a fixed probe subset holds this constant -- the zero-allocation
   /// tests pin their loop on it.
   std::size_t growth_events() const { return growth_events_; }
@@ -142,10 +148,15 @@ class CorrelationWorkspace {
     v.resize(n);
   }
 
-  /// Panel of the last single-group batch; keyed by its exact slot
-  /// sequence, so a caller re-probing one subset skips the matrix cache
-  /// (and its lock) entirely.
+  /// Cached panel of the last single-group batch, keyed by its exact
+  /// slot sequence, so a caller re-probing one subset skips the matrix
+  /// cache (and its lock) entirely. Null while that sequence has been
+  /// seen only once: its panel was a scratch build the workspace does not
+  /// pin.
   std::shared_ptr<const SubsetPanel> panel_;
+  /// Slot sequence of the last single-group batch; seeing it again is a
+  /// repeat, which promotes its panel into the shared cache.
+  std::vector<int> last_slots_;
   /// Per-coarse-tile group bounds (max over members) and the best-first
   /// visiting order.
   std::vector<double> coarse_bound_;
@@ -296,16 +307,24 @@ class CorrelationEngine {
   void collect_probes_into(std::span<const SectorReading> readings, bool need_snr,
                            bool need_rssi, ProbeVectors& out) const;
 
+  /// Eq. 5 over the whole grid straight from the matrix rows, into `w`:
+  /// combined_surface's one-shot small-M path, bit-identical to the panel
+  /// walk. Touches no panel.
+  void direct_surface(const ProbeVectors& probes, double snr_norm, double rssi_norm,
+                      std::span<double> w) const;
+
   /// The panel for `slots` through ws.panel_: reused when the sequence
-  /// matches (no lock, no allocation), else resolved through the matrix
-  /// cache and kept -- a subset switch, charged to the growth counter.
+  /// matches (no lock, no allocation), else leased from the matrix -- a
+  /// subset switch, charged to the growth counter, unless it repeats the
+  /// workspace's previous sequence. A cached panel is kept in ws.panel_;
+  /// a scratch panel is held in `scratch` for the caller's walk only.
   const SubsetPanel& resolve_panel(const std::vector<int>& slots,
-                                   CorrelationWorkspace& ws) const;
+                                   CorrelationWorkspace& ws,
+                                   std::shared_ptr<const SubsetPanel>& scratch) const;
 
   /// One slot-sequence group of the batched argmax: members are indices
   /// into ws.batch_probes_ sharing the panel `pan`; writes out[members[b]].
   void argmax_group(std::span<const std::uint32_t> members, const SubsetPanel& pan,
-                    std::span<const std::span<const SectorReading>> sweeps,
                     std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const;
 
   ResponseMatrix matrix_;

@@ -1,6 +1,7 @@
 #include "src/core/response_matrix.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -42,11 +43,53 @@ double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q) {
   return scale;
 }
 
+/// The calling thread's scratch panel and the matrix it was built for
+/// (0: none, or a build in progress).
+struct ScratchPanel {
+  std::uint64_t matrix_id{0};
+  std::shared_ptr<SubsetPanel> panel;
+};
+
+ScratchPanel& thread_scratch() {
+  thread_local ScratchPanel scratch;
+  return scratch;
+}
+
+std::atomic<std::uint64_t> g_next_matrix_id{1};
+
+/// Heap bytes of one panel's arrays (the cache's memory budget unit).
+std::size_t panel_bytes(const SubsetPanel& p) {
+  const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
+  return bytes(p.slots) + bytes(p.values) + bytes(p.norms_sq) +
+         bytes(p.fine_abs_norm_max) + bytes(p.fine_sqrt_min_norm) +
+         bytes(p.coarse_abs_norm_max) + bytes(p.coarse_sqrt_min_norm) +
+         bytes(p.fine_q) + bytes(p.fine_q_scale) + bytes(p.coarse_q) +
+         bytes(p.coarse_q_scale);
+}
+
+/// 64-bit fingerprint of a slot sequence (FNV-1a over length and slots,
+/// then a splitmix64 finalizer so the bucket bits are well mixed); never 0,
+/// which marks a free way in the sighting table.
+std::uint64_t sequence_fingerprint(std::span<const int> slots) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  mix(slots.size());
+  for (const int s : slots) mix(static_cast<std::uint32_t>(s));
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h | 1;
+}
+
 }  // namespace
 
 ResponseMatrix::ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
                                CorrelationDomain domain)
-    : grid_(grid), domain_(domain) {
+    : grid_(grid),
+      domain_(domain),
+      id_(g_next_matrix_id.fetch_add(1, std::memory_order_relaxed)) {
   TALON_EXPECTS(!patterns.empty());
   sector_ids_ = patterns.ids();
   const std::size_t points = grid_.size();
@@ -76,8 +119,7 @@ int ResponseMatrix::slot(int sector_id) const {
   return static_cast<int>(it - sector_ids_.begin());
 }
 
-std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
-    std::span<const int> slots) const {
+void ResponseMatrix::build_panel(std::span<const int> slots, SubsetPanel& out) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
   const std::size_t m = slots.size();
@@ -86,114 +128,111 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
     TALON_EXPECTS(s >= 0 && static_cast<std::size_t>(s) < sector_ids_.size());
   }
 
-  auto panel = std::make_shared<SubsetPanel>();
-  panel->slots.assign(slots.begin(), slots.end());
+  out.slots.assign(slots.begin(), slots.end());
   const std::size_t points = grid_.size();
-  panel->points = points;
+  out.points = points;
   const std::size_t fine = (points + kTile - 1) / kTile;
-  panel->fine_tiles = fine;
-  panel->coarse_tiles =
+  out.fine_tiles = fine;
+  out.coarse_tiles =
       (fine + SubsetPanel::kFinePerCoarse - 1) / SubsetPanel::kFinePerCoarse;
 
-  panel->values.assign(fine * kTile * m, 0.0);
+  // Every element below is overwritten, so a reused panel's stale
+  // contents never leak into the new build.
+  out.values.resize(fine * kTile * m);
   // The allocator promises the base pointer; the static_assert in the
   // header promises every row offset is a multiple of the alignment.
-  assert(reinterpret_cast<std::uintptr_t>(panel->values.data()) %
+  assert(reinterpret_cast<std::uintptr_t>(out.values.data()) %
              SubsetPanel::kValuesAlignment ==
          0);
-  panel->norms_sq.resize(points);
-  const std::size_t stride = sector_ids_.size();
-  for (std::size_t g = 0; g < points; ++g) {
-    const double* row = values_.data() + g * stride;
-    double* block = panel->values.data() + (g / kTile) * m * kTile + g % kTile;
-    double sum = 0.0;
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      const double x = row[static_cast<std::size_t>(slots[mm])];
-      block[mm * kTile] = x;
-      sum += x * x;
-    }
-    panel->norms_sq[g] = sum;
-  }
+  out.norms_sq.resize(points);
+  out.fine_abs_norm_max.resize(fine * m);
+  out.fine_sqrt_min_norm.resize(fine);
 
-  panel->fine_abs_norm_max.assign(fine * m, 0.0);
-  panel->fine_sqrt_min_norm.resize(fine);
+  // One fused pass per fine tile, all of it on the tile's L1-resident
+  // rows. Per point, the norm sums x*x in sequence order from 0.0 (the
+  // Eq. 2 denominator every evaluator reproduces). A zero-norm point gets
+  // inv 0, so its shares are 0 and never raise a maximum, exactly as if
+  // it were skipped; the zero-padded tail points likewise. Maxima are
+  // exact in any order, so each row reduces over per-lane partials.
+  const std::size_t stride = sector_ids_.size();
+  alignas(SubsetPanel::kValuesAlignment) double norm[kTile];
+  alignas(SubsetPanel::kValuesAlignment) double inv[kTile];
   for (std::size_t t = 0; t < fine; ++t) {
     const std::size_t g0 = t * kTile;
     const std::size_t count = std::min(kTile, points - g0);
-    const double* block = panel->tile_values(t);
-    double* u = panel->fine_abs_norm_max.data() + t * m;
-    double min_pos = kInf;
-    for (std::size_t gi = 0; gi < count; ++gi) {
-      const double n = panel->norms_sq[g0 + gi];
-      if (n <= 0.0) continue;  // zero-norm points score exactly 0
-      if (n < min_pos) min_pos = n;
-      const double inv_norm = 1.0 / std::sqrt(n);
-      for (std::size_t mm = 0; mm < m; ++mm) {
-        const double share = std::abs(block[mm * kTile + gi]) * inv_norm;
-        if (share > u[mm]) u[mm] = share;
-      }
+    const double* rows = values_.data() + g0 * stride;
+    double* block = out.values.data() + t * m * kTile;
+    std::fill(norm, norm + kTile, 0.0);
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      const double* col = rows + static_cast<std::size_t>(slots[mm]);
+      double* dst = block + mm * kTile;
+      for (std::size_t gi = 0; gi < count; ++gi) dst[gi] = col[gi * stride];
+      std::fill(dst + count, dst + kTile, 0.0);
+      for (std::size_t gi = 0; gi < kTile; ++gi) norm[gi] += dst[gi] * dst[gi];
     }
-    panel->fine_sqrt_min_norm[t] = min_pos == kInf ? kInf : std::sqrt(min_pos);
+    std::copy(norm, norm + count, out.norms_sq.data() + g0);
+
+    double min_pos = kInf;
+    for (std::size_t gi = 0; gi < kTile; ++gi) {
+      const double n = norm[gi];
+      const bool positive = n > 0.0;
+      inv[gi] = positive ? 1.0 / std::sqrt(n) : 0.0;
+      const double candidate = positive ? n : kInf;
+      min_pos = candidate < min_pos ? candidate : min_pos;
+    }
+    out.fine_sqrt_min_norm[t] = min_pos == kInf ? kInf : std::sqrt(min_pos);
+
+    double* u = out.fine_abs_norm_max.data() + t * m;
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      const double* row = block + mm * kTile;
+      constexpr std::size_t kLanes = 4;
+      double lane[kLanes] = {0.0, 0.0, 0.0, 0.0};
+      for (std::size_t gi = 0; gi < kTile; gi += kLanes) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double share = std::abs(row[gi + l]) * inv[gi + l];
+          lane[l] = share > lane[l] ? share : lane[l];
+        }
+      }
+      const double lo = lane[1] > lane[0] ? lane[1] : lane[0];
+      const double hi = lane[3] > lane[2] ? lane[3] : lane[2];
+      u[mm] = hi > lo ? hi : lo;
+    }
   }
 
-  panel->coarse_abs_norm_max.resize(panel->coarse_tiles * m);
-  panel->coarse_sqrt_min_norm.resize(panel->coarse_tiles);
-  for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
+  out.coarse_abs_norm_max.resize(out.coarse_tiles * m);
+  out.coarse_sqrt_min_norm.resize(out.coarse_tiles);
+  for (std::size_t c = 0; c < out.coarse_tiles; ++c) {
     const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
     const std::size_t t1 = std::min(t0 + SubsetPanel::kFinePerCoarse, fine);
     for (std::size_t mm = 0; mm < m; ++mm) {
       double hi = 0.0;
       for (std::size_t t = t0; t < t1; ++t) {
-        hi = std::max(hi, panel->fine_abs_norm_max[t * m + mm]);
+        hi = std::max(hi, out.fine_abs_norm_max[t * m + mm]);
       }
-      panel->coarse_abs_norm_max[c * m + mm] = hi;
+      out.coarse_abs_norm_max[c * m + mm] = hi;
     }
     double root = kInf;
     for (std::size_t t = t0; t < t1; ++t) {
-      root = std::min(root, panel->fine_sqrt_min_norm[t]);
+      root = std::min(root, out.fine_sqrt_min_norm[t]);
     }
-    panel->coarse_sqrt_min_norm[c] = root;
+    out.coarse_sqrt_min_norm[c] = root;
   }
 
-  panel->fine_q.resize(fine * m);
-  panel->fine_q_scale.resize(fine);
+  out.fine_q.resize(fine * m);
+  out.fine_q_scale.resize(fine);
   for (std::size_t t = 0; t < fine; ++t) {
-    panel->fine_q_scale[t] = quantize_screen_row(
-        panel->fine_abs_norm_max.data() + t * m, m, panel->fine_q.data() + t * m);
+    out.fine_q_scale[t] = quantize_screen_row(out.fine_abs_norm_max.data() + t * m, m,
+                                              out.fine_q.data() + t * m);
   }
-  panel->coarse_q.resize(panel->coarse_tiles * m);
-  panel->coarse_q_scale.resize(panel->coarse_tiles);
-  for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
-    panel->coarse_q_scale[c] =
-        quantize_screen_row(panel->coarse_abs_norm_max.data() + c * m, m,
-                            panel->coarse_q.data() + c * m);
+  out.coarse_q.resize(out.coarse_tiles * m);
+  out.coarse_q_scale.resize(out.coarse_tiles);
+  for (std::size_t c = 0; c < out.coarse_tiles; ++c) {
+    out.coarse_q_scale[c] = quantize_screen_row(out.coarse_abs_norm_max.data() + c * m,
+                                                m, out.coarse_q.data() + c * m);
   }
-  return panel;
 }
 
-std::shared_ptr<const SubsetPanel> ResponseMatrix::panel(
-    std::span<const int> slots) const {
-  {
-    const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-    const auto it = panel_cache_.find(slots);
-    if (it != panel_cache_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const SubsetPanel> built = build_panel(slots);
-
-  const std::lock_guard<std::shared_mutex> lock(cache_mutex_);
-  const auto it = panel_cache_.find(slots);
-  if (it != panel_cache_.end()) return it->second;  // lost the insert race
-  if (panel_cache_.size() < kMaxCachedSubsets) {
-    panel_cache_.emplace(built->slots, built);
-  }
-  return built;
-}
-
-std::shared_ptr<const SubsetPanel> ResponseMatrix::cached_panel(
+std::shared_ptr<const SubsetPanel> ResponseMatrix::find_cached(
     std::span<const int> slots) const {
   const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
   const auto it = panel_cache_.find(slots);
@@ -202,29 +241,101 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::cached_panel(
   return it->second;
 }
 
+std::shared_ptr<const SubsetPanel> ResponseMatrix::scratch_holding(
+    std::span<const int> slots) const {
+  const ScratchPanel& scratch = thread_scratch();
+  if (scratch.matrix_id != id_ || !scratch.panel) return nullptr;
+  const std::vector<int>& held = scratch.panel->slots;
+  return std::equal(held.begin(), held.end(), slots.begin(), slots.end())
+             ? scratch.panel
+             : nullptr;
+}
+
+ResponseMatrix::Lease ResponseMatrix::retain(std::span<const int> slots) const {
+  std::shared_ptr<const SubsetPanel> built;
+  if (const std::shared_ptr<const SubsetPanel> held = scratch_holding(slots)) {
+    // The thread's scratch panel already holds this sequence: promote a
+    // copy instead of building again. The copy is sized exactly (the
+    // scratch buffers may carry a larger build's capacity), and the
+    // thread keeps its scratch buffers.
+    built = std::make_shared<const SubsetPanel>(*held);
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    auto fresh = std::make_shared<SubsetPanel>();
+    build_panel(slots, *fresh);
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    built = std::move(fresh);
+  }
+
+  const std::lock_guard<std::shared_mutex> lock(cache_mutex_);
+  const auto it = panel_cache_.find(slots);
+  if (it != panel_cache_.end()) return {it->second, true};  // lost the insert race
+  const std::size_t bytes = panel_bytes(*built);
+  const std::size_t cached_bytes = cached_bytes_.load(std::memory_order_relaxed);
+  if (cached_bytes + bytes > kMaxCachedBytes) return {std::move(built), false};
+  cached_bytes_.store(cached_bytes + bytes, std::memory_order_relaxed);
+  panel_cache_.emplace(built->slots, built);
+  return {std::move(built), true};
+}
+
+bool ResponseMatrix::first_sighting(std::span<const int> slots) const {
+  const std::uint64_t fp = sequence_fingerprint(slots);
+  std::atomic<std::uint64_t>* bucket =
+      sightings_.data() + (fp >> 32) % kSightingBuckets * kSightingWays;
+  for (std::size_t w = 0; w < kSightingWays; ++w) {
+    std::uint64_t seen = fp;
+    if (bucket[w].load(std::memory_order_relaxed) == fp &&
+        bucket[w].compare_exchange_strong(seen, 0, std::memory_order_relaxed)) {
+      return false;
+    }
+  }
+  for (std::size_t w = 0; w < kSightingWays; ++w) {
+    std::uint64_t free_way = 0;
+    if (bucket[w].load(std::memory_order_relaxed) == 0 &&
+        bucket[w].compare_exchange_strong(free_way, fp, std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  const std::uint32_t victim = sighting_victim_.fetch_add(1, std::memory_order_relaxed);
+  bucket[victim % kSightingWays].store(fp, std::memory_order_relaxed);
+  return true;
+}
+
+std::shared_ptr<const SubsetPanel> ResponseMatrix::panel(
+    std::span<const int> slots) const {
+  if (std::shared_ptr<const SubsetPanel> hit = find_cached(slots)) return hit;
+  return retain(slots).panel;
+}
+
+ResponseMatrix::Lease ResponseMatrix::lease(std::span<const int> slots,
+                                            bool repeat) const {
+  if (std::shared_ptr<const SubsetPanel> hit = find_cached(slots)) return {hit, true};
+  const bool full = cached_bytes_.load(std::memory_order_relaxed) >= kMaxCachedBytes;
+  if (!full && (repeat || !first_sighting(slots))) return retain(slots);
+
+  // One-shot: build into the thread's scratch panel, in place unless a
+  // lease still holds the previous build.
+  if (std::shared_ptr<const SubsetPanel> held = scratch_holding(slots)) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return {std::move(held), false};
+  }
+  ScratchPanel& scratch = thread_scratch();
+  if (!scratch.panel || scratch.panel.use_count() != 1) {
+    scratch.panel = std::make_shared<SubsetPanel>();
+  }
+  scratch.matrix_id = 0;  // no valid contents until the build completes
+  build_panel(slots, *scratch.panel);
+  scratch.matrix_id = id_;
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  return {scratch.panel, false};
+}
+
 std::shared_ptr<const SubsetPanel> ResponseMatrix::panel_if_warm(
     std::span<const int> slots) const {
-  if (std::shared_ptr<const SubsetPanel> hit = cached_panel(slots)) return hit;
-  {
-    const std::lock_guard<std::shared_mutex> lock(cache_mutex_);
-    const auto seen =
-        std::find_if(recent_direct_.begin(), recent_direct_.end(),
-                     [&](const std::vector<int>& s) {
-                       return std::equal(s.begin(), s.end(), slots.begin(),
-                                         slots.end());
-                     });
-    if (seen == recent_direct_.end()) {
-      // First sighting: remember it and let the caller walk directly.
-      if (recent_direct_.size() >= kRecentDirectSlots) {
-        recent_direct_.erase(recent_direct_.begin());
-      }
-      recent_direct_.emplace_back(slots.begin(), slots.end());
-      return nullptr;
-    }
-    recent_direct_.erase(seen);
-  }
+  if (std::shared_ptr<const SubsetPanel> hit = find_cached(slots)) return hit;
+  if (first_sighting(slots)) return nullptr;
   // Second sighting: this subset repeats, so the build amortizes.
-  return panel(slots);
+  return retain(slots).panel;
 }
 
 std::shared_ptr<const std::vector<double>> ResponseMatrix::norms_sq(

@@ -11,23 +11,35 @@
 // per-sector pattern vectors, which is what makes the fused Eq. 5 pass
 // cache-linear.
 //
-// On top of the full matrix sits the subset-panel cache: for one probe
+// On top of the full matrix sits the subset-panel layer: for one probe
 // slot-sequence, a SubsetPanel compacts the probed columns into a dense
 // tile-blocked `points x M` array (no per-element slot indexing in the hot
 // loop), carries the per-point subset norms (the Eq. 2 denominator,
-// accumulated in sequence order so cache hits stay bit-identical to a
-// fresh pass), and precomputes per-tile response extrema plus the minimum
-// positive subset norm -- the ingredients of the Cauchy-Schwarz upper
-// bound the branch-and-bound argmax (core/correlation.hpp) prunes with.
-// Panels are keyed on the exact slot sequence (not the set) and shared
-// across every reader of the matrix: repeated sweeps with the same probe
-// subset -- the common case in the experiment runners, tracking loops and
-// benches -- skip the compaction entirely. The cache takes a shared lock
-// on hits and an exclusive lock only to insert, so K concurrent links
-// replaying the same codebook do not serialize on it; hit/miss counters
-// are exposed for diagnostics.
+// accumulated in sequence order so every build of a sequence is
+// bit-identical), and precomputes per-tile response extrema plus the
+// minimum positive subset norm -- the ingredients of the Cauchy-Schwarz
+// upper bound the branch-and-bound argmax (core/correlation.hpp) prunes
+// with. A build is one fused tile-local pass: gather the tile's rows, sum
+// the per-point norms in sequence order, take a tile row of 1/sqrt(norm)
+// and reduce the normalized maxima branch-free over the contiguous rows.
+//
+// Panels are keyed on the exact slot sequence (not the set), and only a
+// sequence that repeats is retained. CSS probes a fresh random subset on
+// every training (Sec. 2.2), so most sequences are seen once: lease()
+// builds a first sighting into the calling thread's reused scratch panel
+// and retains nothing. A second sighting -- the caller says so (a
+// workspace re-probing its previous sequence), or the lock-free
+// fingerprint table of sequences seen once recognises it -- enters the
+// shared cache, where every reader of the matrix finds it; designed
+// probe subsets, experiment cells and tracking loops that repeat a
+// subset therefore converge onto cache hits. panel() is the explicit
+// build-and-retain entry point. The cache takes a shared lock on hits and
+// an exclusive lock only to insert; CacheStats counts every build as a
+// miss and every lookup the cache (or a promoted scratch panel) serves as
+// a hit.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -165,24 +177,37 @@ class ResponseMatrix {
   const std::vector<Direction>& directions() const { return directions_; }
 
   /// The compacted panel for this exact slot sequence (>= 1 valid slots),
-  /// built on first use and cached. Thread-safe: readers take a shared
-  /// lock, only the builder that inserts takes an exclusive one.
+  /// built on first use and retained in the shared cache (up to
+  /// kMaxCachedBytes). Thread-safe: readers take a shared lock, only the
+  /// inserter takes an exclusive one. For callers that know the sequence
+  /// repeats; one-shot callers use lease().
   std::shared_ptr<const SubsetPanel> panel(std::span<const int> slots) const;
 
-  /// Lookup-only variant: the cached panel for this slot sequence, or
-  /// nullptr without building one. Lets one-shot small-M surfaces choose
-  /// the direct matrix walk instead of paying a panel build they would
-  /// use once (counts as a hit when found; a miss counts nothing).
-  std::shared_ptr<const SubsetPanel> cached_panel(
-      std::span<const int> slots) const;
+  /// A panel for one use, retained only when the sequence repeats. The
+  /// panel stays valid and unchanged for as long as it is held.
+  struct Lease {
+    std::shared_ptr<const SubsetPanel> panel;
+    /// True when `panel` is the shared cache's; false when it is the
+    /// calling thread's scratch panel, which the thread's next scratch
+    /// build reuses in place once no lease holds it any more (or replaces
+    /// with a fresh one while a lease does). A scratch lease must be
+    /// released on the thread that took it: the in-place reuse is ordered
+    /// after the release only within that thread.
+    bool cached{false};
+  };
 
-  /// cached_panel with one-shot detection: the first sighting of a slot
-  /// sequence returns nullptr (the caller should walk the matrix
-  /// directly -- a panel build would cost more than the walk it
-  /// replaces); a repeat sighting builds and caches the panel, so
-  /// repeated callers converge onto the compacted tile path after two
-  /// calls. Thread-safe; the sighting ring holds the last
-  /// kRecentDirectSlots sequences.
+  /// The cached panel when there is one; else, for a repeat sighting
+  /// (`repeat` set by the caller, or a hit in the fingerprint table of
+  /// sequences seen once), the panel built into the cache; else -- and
+  /// for every sequence once the cache is full -- a build into the
+  /// calling thread's scratch panel, with the sighting recorded.
+  /// Thread-safe; the fingerprint table is lock-free and fixed-size.
+  Lease lease(std::span<const int> slots, bool repeat = false) const;
+
+  /// Lookup with one-shot detection, for callers that can do without a
+  /// panel: the cached panel, or on a repeat sighting the panel built into
+  /// the cache, or nullptr on a first sighting (the caller walks the
+  /// matrix directly). Thread-safe.
   std::shared_ptr<const SubsetPanel> panel_if_warm(
       std::span<const int> slots) const;
 
@@ -197,9 +222,12 @@ class ResponseMatrix {
   /// Cached subsets (panels) currently held (diagnostics / tests).
   std::size_t cached_subset_count() const;
 
-  /// Panel-cache traffic since construction. `hits` counts lookups served
-  /// under the shared lock; `misses` counts panel builds (a lost insert
-  /// race still counts as the build it performed).
+  /// Panel traffic since construction. `misses` counts panel builds,
+  /// cached or scratch (a lost insert race still counts the build it
+  /// performed); `hits` counts lookups served without a build: from the
+  /// shared cache, or from the calling thread's scratch panel (reused, or
+  /// copied into the cache).
+  /// A workspace reusing the panel it already holds counts nothing.
   struct CacheStats {
     std::uint64_t hits{0};
     std::uint64_t misses{0};
@@ -210,7 +238,17 @@ class ResponseMatrix {
   }
 
  private:
-  std::shared_ptr<const SubsetPanel> build_panel(std::span<const int> slots) const;
+  /// Builds the panel of `slots` into `out`, reusing its buffers.
+  void build_panel(std::span<const int> slots, SubsetPanel& out) const;
+  /// The cached panel or nullptr (a hit counts).
+  std::shared_ptr<const SubsetPanel> find_cached(std::span<const int> slots) const;
+  /// The thread's scratch panel when it holds this matrix's `slots`.
+  std::shared_ptr<const SubsetPanel> scratch_holding(std::span<const int> slots) const;
+  /// Build (or copy the thread's scratch panel holding `slots`) and insert.
+  Lease retain(std::span<const int> slots) const;
+  /// Records a sighting; false when the sequence was already recorded
+  /// (a repeat, whose entry is then cleared).
+  bool first_sighting(std::span<const int> slots) const;
 
   /// Heterogeneous (span vs vector) lexicographic key order, so lookups
   /// never materialize a key vector.
@@ -238,21 +276,36 @@ class ResponseMatrix {
   std::vector<double> values_;
   std::vector<Direction> directions_;
 
-  /// Bounds cache growth under adversarial subset churn; beyond the cap,
-  /// panels are computed but not retained.
-  static constexpr std::size_t kMaxCachedSubsets = 512;
+  /// Process-unique id, so a thread's scratch panel is never taken for
+  /// another matrix's panel of the same sequence.
+  std::uint64_t id_;
+
+  /// Bounds the cache's memory under subset churn: beyond this many
+  /// bytes of panels, repeats are built into scratch panels and not
+  /// retained. A byte budget rather than a panel count, because the
+  /// sequences that repeat are often the long ones: 128 MiB holds 512
+  /// panels of 14 probes on the default CSS search grid, or half as many
+  /// of 28.
+  static constexpr std::size_t kMaxCachedBytes = std::size_t{128} << 20;
   mutable std::shared_mutex cache_mutex_;
   mutable std::map<std::vector<int>, std::shared_ptr<const SubsetPanel>,
                    SlotSequenceLess>
       panel_cache_;
+  /// Bytes of the cached panels; written under cache_mutex_'s exclusive
+  /// lock, read without it to tell a full cache.
+  mutable std::atomic<std::size_t> cached_bytes_{0};
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};
 
-  /// One-shot detector for panel_if_warm: slot sequences direct-walked
-  /// once but not yet promoted to a cached panel (FIFO ring, guarded by
-  /// cache_mutex_'s exclusive lock).
-  static constexpr std::size_t kRecentDirectSlots = 8;
-  mutable std::vector<std::vector<int>> recent_direct_;
+  /// Fingerprints of slot sequences seen once and not yet retained: a
+  /// set-associative table of kSightingBuckets x kSightingWays atomics (0
+  /// marks a free way; a full bucket overwrites a rotating victim).
+  /// Losing an entry only delays a sequence's promotion by one sighting.
+  static constexpr std::size_t kSightingBuckets = 1024;
+  static constexpr std::size_t kSightingWays = 4;
+  mutable std::array<std::atomic<std::uint64_t>, kSightingBuckets * kSightingWays>
+      sightings_{};
+  mutable std::atomic<std::uint32_t> sighting_victim_{0};
 };
 
 }  // namespace talon

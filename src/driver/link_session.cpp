@@ -153,10 +153,18 @@ std::vector<int> LinkSession::next_probe_subset() {
   return policy_.choose(talon_tx_sector_ids(), current_probes(), rng_);
 }
 
-void LinkSession::note_unknown_sectors(std::span<const SectorReading> readings) {
+std::size_t LinkSession::note_dropped_readings(std::span<const SectorReading> readings) {
   const ResponseMatrix& matrix = css_.assets()->engine().response_matrix();
+  std::size_t usable = 0;
   for (const SectorReading& r : readings) {
-    if (matrix.slot(r.sector_id) >= 0) continue;
+    if (matrix.slot(r.sector_id) >= 0) {
+      if (reading_value_usable(r.snr_db) && reading_value_usable(r.rssi_dbm)) {
+        ++usable;
+      } else {
+        ++dropped_probes_;
+      }
+      continue;
+    }
     ++dropped_probes_;
     if (warned_unknown_.contains(r.sector_id)) continue;
     if (warned_unknown_.size() >= kMaxWarnedUnknownIds) {
@@ -172,6 +180,7 @@ void LinkSession::note_unknown_sectors(std::span<const SectorReading> readings) 
     std::cerr << "talon: link session: sweep reported sector " << r.sector_id
               << " with no measured pattern; its readings are dropped\n";
   }
+  return usable;
 }
 
 void LinkSession::apply_reading_faults(std::vector<SectorReading>& readings) {
@@ -288,7 +297,7 @@ std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
     finish_round(/*healthy=*/false, full_sweep_round);
     return std::nullopt;
   }
-  note_unknown_sectors(readings);
+  const std::size_t usable = note_dropped_readings(readings);
   TALON_EXPECTS(batched == nullptr || pending_batchable_);
   CssResult result = batched != nullptr ? *batched
                      : full_sweep_round ? ssw_fallback_.select(readings)
@@ -304,8 +313,9 @@ std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
     // surface can look confidently peaked while pointing anywhere -- and
     // the css-internal argmax over 1-2 survivors is no better, so this
     // guard applies to fallback_used results too), and a flat or
-    // multi-modal surface fails the peak-to-second-peak bar.
-    if (static_cast<double>(readings.size()) <
+    // multi-modal surface fails the peak-to-second-peak bar. Only usable
+    // readings fill a sweep: unknown sectors and NaN/inf values do not.
+    if (static_cast<double>(usable) <
         config_.degradation.min_probe_fraction *
             static_cast<double>(current_probes())) {
       ++degradation_stats_.underfilled_rounds;

@@ -230,11 +230,13 @@ class LinkSession {
   /// Number of sweeps processed on this link.
   std::size_t rounds() const { return rounds_; }
 
-  /// Cumulative readings dropped because their sector ID has no slot in
-  /// the shared pattern table (firmware reported a sector the codebook
-  /// was never measured for). The counter is the source of truth; stderr
-  /// warnings are capped at kMaxWarnedUnknownIds distinct IDs so a
-  /// misconfigured codebook cannot flood the log from the sweep path.
+  /// Cumulative readings dropped as unusable: their sector ID has no slot
+  /// in the shared pattern table (firmware reported a sector the codebook
+  /// was never measured for), or their SNR or RSSI fails
+  /// reading_value_usable (NaN, +-inf, absurd magnitudes). The counter is
+  /// the source of truth; stderr warnings (unknown IDs only) are capped
+  /// at kMaxWarnedUnknownIds distinct IDs so a misconfigured codebook
+  /// cannot flood the log from the sweep path.
   std::size_t dropped_probes() const { return dropped_probes_; }
 
   /// Distinct unknown sector IDs warned about so far (<= the cap).
@@ -326,7 +328,10 @@ class LinkSession {
 
   /// (Re)build strategy_/tracking_ over the current css_.
   void build_strategy();
-  void note_unknown_sectors(std::span<const SectorReading> readings);
+  /// Counts the sweep's unusable readings into dropped_probes_ (warning
+  /// once per unknown sector ID) and returns the usable ones' count --
+  /// the rule of CorrelationEngine::usable_probe_count.
+  std::size_t note_dropped_readings(std::span<const SectorReading> readings);
   /// Probe loss + reading corruption on the drained sweep, in order.
   void apply_reading_faults(std::vector<SectorReading>& readings);
   /// Install the override; bounded retry with exponential backoff under

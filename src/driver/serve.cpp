@@ -1,6 +1,8 @@
 #include "src/driver/serve.hpp"
 
 #include <chrono>
+#include <exception>
+#include <iostream>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
@@ -117,6 +119,12 @@ void ServeDaemon::route(SweepReport report) {
 }
 
 void ServeDaemon::process_link(LinkIngest& ingest) {
+  if (ingest.quarantined) {
+    dropped_.fetch_add(ingest.ready.size(), std::memory_order_relaxed);
+    ingest.ready.clear();
+    ingest.in_cycle = false;
+    return;
+  }
   LinkSession& session = daemon_.session(ingest.link_id);
   {
     // Epoch-pinned staleness check: a raw pointer compare against the
@@ -132,8 +140,20 @@ void ServeDaemon::process_link(LinkIngest& ingest) {
       config_.measure_latency
           ? &telemetry_.histogram("serve_selection_latency_us")
           : nullptr;
-  for (SweepReport& report : ingest.ready) {
-    session.process_report(std::move(report.readings));
+  for (std::size_t i = 0; i < ingest.ready.size(); ++i) {
+    SweepReport& report = ingest.ready[i];
+    try {
+      session.process_report(std::move(report.readings));
+    } catch (const std::exception& e) {
+      // Contain the failure to this link: its session may be half way
+      // through a round, so it serves nothing more.
+      ingest.quarantined = true;
+      link_errors_.fetch_add(1, std::memory_order_relaxed);
+      dropped_.fetch_add(ingest.ready.size() - i, std::memory_order_relaxed);
+      std::cerr << "talon: serve: link " << ingest.link_id
+                << " quarantined after a report failed: " << e.what() << "\n";
+      break;
+    }
     processed_.fetch_add(1, std::memory_order_relaxed);
     if (latency != nullptr && report.submit_ns != 0) {
       const std::uint64_t now = steady_now_ns();
@@ -217,6 +237,8 @@ void ServeDaemon::publish_session_metrics() {
   telemetry_.counter("serve_reports_processed_total").set(processed());
   telemetry_.counter("serve_reports_rejected_total").set(rejected());
   telemetry_.counter("serve_assets_rebinds_total").set(rebinds());
+  telemetry_.counter("serve_link_errors_total").set(link_errors());
+  telemetry_.counter("serve_reports_dropped_total").set(dropped());
   telemetry_.counter("serve_drain_cycles_total")
       .set(drain_cycles_.load(std::memory_order_relaxed));
   telemetry_.gauge("serve_queue_depth").set(static_cast<double>(queue_.approx_size()));

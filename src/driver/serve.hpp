@@ -18,6 +18,10 @@
 //    claim order no matter how producer pushes interleave. Processing is
 //    therefore bit-identical to feeding the same per-link sequences
 //    through the synchronous API, at ANY thread count;
+//  * PER-LINK fault containment -- a report whose processing throws
+//    quarantines its link: the error is counted, that report and every
+//    later one for the link are dropped and counted, and every other link
+//    keeps being served;
 //  * NON-BLOCKING hot reload -- swap_assets() publishes a new
 //    PatternAssets generation through an epoch-based RCU domain
 //    (core/assets_epoch.hpp); workers pin an epoch, compare pointers,
@@ -153,6 +157,16 @@ class ServeDaemon {
   std::uint64_t rebinds() const {
     return rebinds_.load(std::memory_order_relaxed);
   }
+  /// Links quarantined because processing one of their reports threw.
+  std::uint64_t link_errors() const {
+    return link_errors_.load(std::memory_order_relaxed);
+  }
+  /// Accepted reports of quarantined links, not processed: the report
+  /// that threw and every later one. submitted() == processed() +
+  /// dropped() once the queue is drained.
+  std::uint64_t dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   TelemetryRegistry& telemetry() { return telemetry_; }
 
@@ -171,6 +185,8 @@ class ServeDaemon {
     /// In-order reports released for the current cycle.
     std::vector<SweepReport> ready;
     bool in_cycle{false};
+    /// Set when processing one of the link's reports threw.
+    bool quarantined{false};
   };
 
   void enqueue(SweepReport report);
@@ -200,6 +216,8 @@ class ServeDaemon {
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> rebinds_{0};
+  std::atomic<std::uint64_t> link_errors_{0};
+  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> drain_cycles_{0};
 
   std::atomic<bool> running_{false};

@@ -518,13 +518,14 @@ TEST(DirectSurface, OneShotWalksDirectRepeatPromotesToPanel) {
 
 TEST(DirectSurface, PanelAlreadyCachedSkipsTheDirectWalk) {
   // A subset some other path already compacted (here: the argmax
-  // workspace) goes straight to the tile walk -- same bits, and the
-  // one-shot ring is never consulted.
+  // workspace, whose repeated sequence enters the cache) goes straight to
+  // the tile walk -- same bits, and no sighting is recorded.
   const CorrelationEngine engine(synthetic_table(), synthetic_grid());
   const auto probes =
       ideal_probes(synthetic_table(), {2, 4, 6, 9}, {15.0, 10.0});
   CorrelationWorkspace ws;
-  (void)engine.combined_argmax(probes, ws);  // resolves + caches the panel
+  (void)engine.combined_argmax(probes, ws);  // first sighting: scratch panel
+  (void)engine.combined_argmax(probes, ws);  // repeat: promotes + caches it
   const std::size_t cached = engine.response_matrix().cached_subset_count();
   EXPECT_GE(cached, 1u);
   const Grid2D surface = engine.combined_surface(probes);

@@ -262,5 +262,46 @@ TEST(ServeHostileInput, NanSnrReportIsServedAndDaemonKeepsServing) {
   }
 }
 
+TEST(ServeHostileInput, ThrowingLinkIsQuarantinedOthersKeepServing) {
+  // In the dB correlation domain an all-0 dB sweep has a zero probe norm,
+  // which the correlation rejects with a PreconditionError. That report
+  // quarantines its link -- counted, with the link's later reports
+  // dropped and counted -- while the other links keep being served, on
+  // the consumer thread and across a restart.
+  auto assets = std::make_shared<const PatternAssets>(
+      testutil::synthetic_table(), testutil::synthetic_grid(), CorrelationDomain::kDb);
+  ServeDaemon serve(assets, CssDaemonConfig{}, ServeConfig{.threads = 3});
+  for (int l = 0; l < 3; ++l) serve.add_link(l, link_rng(l));
+  serve.start();
+  for (std::uint64_t r = 0; r < 5; ++r) {
+    for (int l = 0; l < 3; ++l) {
+      auto report = make_report(kReportSeed, l, r, assets->patterns());
+      if (l == 1 && r == 2) {
+        for (SectorReading& reading : report) reading.snr_db = reading.rssi_dbm = 0.0;
+      }
+      serve.submit(l, std::move(report));
+    }
+  }
+  serve.stop();
+  serve.drain_all();
+  EXPECT_EQ(serve.link_errors(), 1u);
+  EXPECT_EQ(serve.dropped(), 3u);  // rounds 2, 3 and 4 of link 1
+  EXPECT_EQ(serve.processed(), 12u);
+  EXPECT_EQ(serve.daemon().session(0).rounds(), 5u);
+  EXPECT_EQ(serve.daemon().session(2).rounds(), 5u);
+
+  serve.start();
+  serve.submit(0, make_report(kReportSeed, 0, 5, assets->patterns()));
+  serve.submit(1, make_report(kReportSeed, 1, 5, assets->patterns()));
+  serve.stop();
+  serve.drain_all();
+  EXPECT_EQ(serve.daemon().session(0).rounds(), 6u);
+  EXPECT_EQ(serve.dropped(), 4u);
+  EXPECT_EQ(serve.submitted(), serve.processed() + serve.dropped());
+  const std::string scrape = serve.scrape();
+  EXPECT_NE(scrape.find("serve_link_errors_total 1\n"), std::string::npos);
+  EXPECT_NE(scrape.find("serve_reports_dropped_total 4\n"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace talon

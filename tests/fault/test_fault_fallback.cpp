@@ -3,7 +3,9 @@
 // invariant that disabling it all reproduces the legacy selections.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "src/antenna/codebook.hpp"
 #include "src/driver/css_daemon.hpp"
@@ -236,6 +238,37 @@ TEST_F(FaultFallbackTest, UnderfilledSweepsAreDistrusted) {
   EXPECT_GT(stats.underfilled_rounds, 0u);
   EXPECT_EQ(stats.css_rounds, 0u);
   EXPECT_FALSE(driver_.sector_forced());
+}
+
+TEST_F(FaultFallbackTest, SweepPaddedWithUnusableReadingsIsUnderfilled) {
+  // A full-length report whose readings are mostly NaN/inf is not a full
+  // sweep: only usable readings count toward min_probe_fraction, and the
+  // unusable ones are counted as dropped probes.
+  CssDaemonConfig config;
+  config.degradation.enabled = true;
+  config.degradation.min_confidence = 0.0;  // the confidence gate is off
+  config.degradation.min_probe_fraction = 0.5;
+  config.degradation.max_consecutive_failures = 1000;
+  config.probes = 14;
+  CssDaemon daemon(ExperimentWorld::instance().assets(), config);
+  LinkSession& session = daemon.add_headless_link(0, Rng(12));
+  const std::vector<int>& tx = talon_tx_sector_ids();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<SectorReading> report;
+  for (std::size_t i = 0; i < 14; ++i) {
+    const double v = 5.0 - static_cast<double>(i);
+    report.push_back(SectorReading{.sector_id = tx[i], .snr_db = v, .rssi_dbm = v - 60.0});
+  }
+  for (std::size_t i = 4; i < 14; ++i) {  // 4 usable readings of 14
+    report[i].snr_db = i % 3 == 0 ? kNaN : (i % 3 == 1 ? kInf : 5.0);
+    if (i % 3 == 2) report[i].rssi_dbm = -kInf;
+  }
+  const auto result = daemon.process_report(0, report);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->valid);
+  EXPECT_EQ(session.degradation_stats().underfilled_rounds, 1u);
+  EXPECT_EQ(session.dropped_probes(), 10u);
 }
 
 TEST_F(FaultFallbackTest, DisabledDegradationReproducesLegacySelections) {
