@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <span>
 #include <string_view>
@@ -23,6 +24,7 @@
 #include "src/antenna/codebook_io.hpp"
 #include "src/core/refinement.hpp"
 #include "src/firmware/device.hpp"
+#include "src/measure/campaign.hpp"
 #include "src/phy/rate_control.hpp"
 #include "src/sim/contention.hpp"
 #include "src/sim/scenario.hpp"
@@ -270,6 +272,41 @@ void BM_ArrayGainEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArrayGainEvaluation);
+
+/// The channel cost of one sweep of all 35 DUT sectors toward the peer at a
+/// static pose: Arg(0) traces the link afresh for every sweep (a new
+/// LinkSimulator, cold view), Arg(1) reuses one simulator's memoized view.
+void BM_LinkSnrSweep(benchmark::State& state) {
+  Scenario room = make_conference_scenario(bench::kDutSeed);
+  room.set_head(20.0, 10.0);
+  std::vector<int> sectors;
+  for (const Sector& s : room.dut->codebook().sectors()) sectors.push_back(s.id);
+  const bool warm = state.range(0) != 0;
+  std::optional<LinkSimulator> link;
+  for (auto _ : state) {
+    if (!warm || !link) link.emplace(room.make_link(Rng(1)));
+    double sum = 0.0;
+    for (int id : sectors) {
+      sum += link->true_snr_db(*room.dut, id, *room.peer, kRxQuasiOmniSectorId);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_LinkSnrSweep)->Arg(0)->Arg(1);
+
+/// A coarse anechoic pattern campaign (21 x 4 head poses, one repetition):
+/// per pose, the DUT's full TX sweep plus the peer's RX-pattern probe.
+void BM_PatternCampaign(benchmark::State& state) {
+  CampaignConfig config;
+  config.azimuth = make_axis(-90.0, 90.0, 9.0);
+  config.elevation = make_axis(0.0, 32.4, 10.8);
+  config.repetitions = 1;
+  for (auto _ : state) {
+    Scenario chamber = make_anechoic_scenario(bench::kDutSeed);
+    benchmark::DoNotOptimize(measure_sector_patterns(chamber, config).frames_decoded);
+  }
+}
+BENCHMARK(BM_PatternCampaign)->Unit(benchmark::kMillisecond);
 
 void BM_FirmwareSweepPath(benchmark::State& state) {
   // One full responder sweep through the patched firmware: begin, 34

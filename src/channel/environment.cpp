@@ -1,11 +1,16 @@
 #include "src/channel/environment.hpp"
 
+#include <atomic>
+
 #include "src/channel/pathloss.hpp"
 #include "src/common/error.hpp"
 
 namespace talon {
 
 namespace {
+
+/// Source of Environment::revision() stamps.
+std::atomic<std::uint64_t> next_revision{1};
 
 Vec3 mirror_across(const Reflector& r, const Vec3& p) {
   switch (r.plane) {
@@ -33,6 +38,13 @@ double plane_coordinate(const Reflector& r, const Vec3& p) {
 
 }  // namespace
 
+Environment::Environment()
+    : revision_(next_revision.fetch_add(1, std::memory_order_relaxed)) {}
+
+void Environment::bump_revision() {
+  revision_ = next_revision.fetch_add(1, std::memory_order_relaxed);
+}
+
 RayTracedEnvironment::RayTracedEnvironment(std::string name,
                                            std::vector<Reflector> reflectors,
                                            bool line_of_sight)
@@ -44,11 +56,13 @@ RayTracedEnvironment::RayTracedEnvironment(std::string name,
 void RayTracedEnvironment::set_los_blockage_db(double db) {
   TALON_EXPECTS(db >= 0.0);
   los_blockage_db_ = db;
+  bump_revision();
 }
 
 void RayTracedEnvironment::set_reflector_enabled(std::size_t index, bool enabled) {
   TALON_EXPECTS(index < reflectors_.size());
   reflector_enabled_[index] = enabled ? 1 : 0;
+  bump_revision();
 }
 
 bool RayTracedEnvironment::reflector_enabled(std::size_t index) const {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,6 +40,21 @@ class Environment {
   virtual std::vector<Ray> rays(const Vec3& tx, const Vec3& rx) const = 0;
 
   virtual std::string name() const = 0;
+
+  /// Stamp of the current ray set: process-unique, drawn at construction
+  /// and again by every mutator that can change what rays() returns, so
+  /// two environments (or one environment at two moments) with equal
+  /// stamps trace identical rays. Memoized channel state (LinkView,
+  /// channel/link.hpp) is valid only while it is unchanged, so every
+  /// future mutator must call bump_revision().
+  std::uint64_t revision() const { return revision_; }
+
+ protected:
+  Environment();
+  void bump_revision();
+
+ private:
+  std::uint64_t revision_;
 };
 
 /// An infinite vertical or horizontal reflecting plane.

@@ -37,6 +37,14 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Thrown when a computed result breaks a documented output invariant
+/// (e.g. a selection outside the search grid): a defect surfaced as an
+/// error instead of a silent garbage result.
+class InvariantError : public std::logic_error {
+ public:
+  explicit InvariantError(const std::string& what) : std::logic_error(what) {}
+};
+
 namespace detail {
 [[noreturn]] inline void fail_expects(const char* cond, const char* file, int line) {
   throw PreconditionError(std::string("precondition failed: ") + cond + " at " +

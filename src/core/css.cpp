@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "src/antenna/codebook.hpp"
 #include "src/common/angles.hpp"
@@ -87,7 +88,44 @@ CssResult select_unbatched(const CorrelationEngine& engine,
   return result;
 }
 
+/// Rounding slack above 1 for a normalized correlation peak.
+constexpr double kPeakRoundingSlack = 1e-9;
+
+bool within_axis(const Axis& axis, double v) {
+  return v >= std::min(axis.first, axis.last()) && v <= std::max(axis.first, axis.last());
+}
+
+bool on_grid(const Direction& d, const AngularGrid& grid) {
+  return within_axis(grid.azimuth, d.azimuth_deg) &&
+         within_axis(grid.elevation, d.elevation_deg);
+}
+
+// The throws are cold and out of line, so the checks on the selection
+// path stay a few comparisons.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_off_grid(const Direction& d) {
+  throw InvariantError("CSS direction (" + std::to_string(d.azimuth_deg) + ", " +
+                       std::to_string(d.elevation_deg) +
+                       ") deg lies outside the search grid");
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bad_peak(double peak) {
+  throw InvariantError("CSS correlation peak " + std::to_string(peak) +
+                       " is not a finite value in [0, 1]");
+}
+
 }  // namespace
+
+void check_selection_invariant(const CssResult& result, const AngularGrid& grid) {
+  if (!result.valid) return;
+  // Written so that NaN fails both comparisons.
+  if (!(result.correlation_peak >= 0.0 &&
+        result.correlation_peak <= 1.0 + kPeakRoundingSlack)) {
+    throw_bad_peak(result.correlation_peak);
+  }
+  if (result.estimated_direction && !on_grid(*result.estimated_direction, grid)) {
+    throw_off_grid(*result.estimated_direction);
+  }
+}
 
 CompressiveSectorSelector::CompressiveSectorSelector(PatternTable patterns,
                                                      CssConfig config)
@@ -160,6 +198,7 @@ void CompressiveSectorSelector::select_batch(
     }
     out[i] = select_unbatched(engine(), patterns(), config_, sweeps[i], candidates);
   }
+  for (const CssResult& r : out) check_selection_invariant(r, config_.search_grid);
 }
 
 std::optional<Direction> CompressiveSectorSelector::estimate_direction(
@@ -179,11 +218,14 @@ void CompressiveSectorSelector::estimate_directions(
       if (engine().usable_probe_count(sweeps[i]) < config_.min_probes) continue;
       out[i] = engine().surface(sweeps[i], SignalValue::kSnr).peak().direction;
     }
-    return;
+  } else {
+    const std::size_t routed = batched_argmax(sweeps, ws);
+    for (std::size_t j = 0; j < routed; ++j) {
+      out[ws.argmax_index_[j]] = ws.argmax_peaks_[j].direction;
+    }
   }
-  const std::size_t routed = batched_argmax(sweeps, ws);
-  for (std::size_t j = 0; j < routed; ++j) {
-    out[ws.argmax_index_[j]] = ws.argmax_peaks_[j].direction;
+  for (const std::optional<Direction>& d : out) {
+    if (d && !on_grid(*d, config_.search_grid)) throw_off_grid(*d);
   }
 }
 

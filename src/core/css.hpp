@@ -64,6 +64,16 @@ struct CssResult {
   double confidence{0.0};
 };
 
+/// The output invariant of every selection: a valid result's
+/// correlation_peak is finite and in [0, 1] (up to rounding: a perfect
+/// match may land an ulp above 1), and its estimated_direction, when set,
+/// lies inside `grid`'s azimuth and elevation span. Throws InvariantError
+/// on a violation. select_batch() and estimate_directions() check every
+/// result they return, so a defect upstream (ingest lets a hostile value
+/// through, the kernel goes off the grid) surfaces as an error -- which
+/// ServeDaemon quarantines per link -- never as a silent selection.
+void check_selection_invariant(const CssResult& result, const AngularGrid& grid);
+
 class CompressiveSectorSelector {
  public:
   /// `patterns` is the measured pattern table of the local device

@@ -1,6 +1,5 @@
 #include "src/sim/linksim.hpp"
 
-#include "src/channel/link.hpp"
 #include "src/common/error.hpp"
 
 namespace talon {
@@ -9,10 +8,21 @@ LinkSimulator::LinkSimulator(const Environment& env, const RadioConfig& radio,
                              const MeasurementModelConfig& measurement, Rng rng)
     : env_(&env), radio_(radio), measurement_(measurement, rng) {}
 
+LinkView& LinkSimulator::view(const Node& tx, const Node& rx) const {
+  for (std::optional<LinkView>& v : views_) {
+    if (v && v->traced_for(tx.front_end(), tx.pose(), rx.front_end(), rx.pose(), *env_)) {
+      return *v;
+    }
+  }
+  std::optional<LinkView>& slot = views_[next_view_];
+  next_view_ = (next_view_ + 1) % views_.size();
+  return slot.emplace(tx.front_end(), tx.pose(), rx.front_end(), rx.pose(), *env_);
+}
+
 double LinkSimulator::true_snr_db(const Node& tx, int tx_sector, const Node& rx,
                                   int rx_sector) const {
-  return link_snr_db(tx.front_end(), tx_sector, tx.pose(), rx.front_end(), rx_sector,
-                     rx.pose(), *env_, radio_);
+  return view(tx, rx).received_power_dbm(tx_sector, rx_sector, radio_) -
+         radio_.noise_floor_dbm();
 }
 
 SweepOutcome LinkSimulator::transmit_sweep(Node& tx, Node& rx,
@@ -99,16 +109,8 @@ MutualTrainingResult LinkSimulator::mutual_training(Node& initiator, Node& respo
 
 double LinkSimulator::true_snr_with_weights(const Node& tx, const WeightVector& weights,
                                             const Node& rx, int rx_sector) const {
-  double total_mw = 0.0;
-  for (const Ray& ray : env_->rays(tx.pose().position, rx.pose().position)) {
-    const Direction dep_dev = tx.pose().orientation.to_device_frame(ray.departure_world);
-    const Direction arr_dev = rx.pose().orientation.to_device_frame(ray.arrival_world);
-    const double rx_dbm = radio_.tx_power_dbm +
-                          tx.front_end().gain_with_weights(weights, dep_dev) +
-                          rx.front_end().gain_dbi(rx_sector, arr_dev) + ray.gain_db;
-    total_mw += dbm_to_mw(rx_dbm);
-  }
-  return mw_to_dbm(total_mw) - radio_.noise_floor_dbm();
+  return view(tx, rx).received_power_dbm(weights, rx_sector, radio_) -
+         radio_.noise_floor_dbm();
 }
 
 SweepMeasurement LinkSimulator::receive_sector_sweep(Node& tx, Node& rx,

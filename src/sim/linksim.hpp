@@ -8,10 +8,13 @@
 // the real chip; a monitor node may overhear everything transmitted.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <span>
 
 #include "src/channel/environment.hpp"
+#include "src/channel/link.hpp"
 #include "src/core/refinement.hpp"
 #include "src/mac/monitor.hpp"
 #include "src/mac/schedule.hpp"
@@ -32,12 +35,21 @@ struct SweepOutcome {
   int transmitted_frames{0};
 };
 
+/// Every channel evaluation goes through a small memo of LinkViews
+/// (channel/link.hpp): a (tx, rx) pair is traced once and reused by every
+/// frame, sector and caller until a front-end, a pose or the environment's
+/// revision changes, when it is traced again. Results are bit-identical to
+/// tracing afresh. The memo makes even the const true-SNR queries mutate
+/// the instance, so one LinkSimulator must be used by one thread at a
+/// time; parallel callers (the network's per-link phase, the experiment
+/// cells, the mobility arms) each own theirs.
 class LinkSimulator {
  public:
   LinkSimulator(const Environment& env, const RadioConfig& radio,
                 const MeasurementModelConfig& measurement, Rng rng);
 
   /// True link SNR for an arbitrary sector pair at the current poses.
+  /// Draws no randomness.
   double true_snr_db(const Node& tx, int tx_sector, const Node& rx,
                      int rx_sector) const;
 
@@ -59,7 +71,8 @@ class LinkSimulator {
                                        std::span<const BurstSlot> schedule,
                                        MonitorCapture* monitor = nullptr);
 
-  /// True link SNR for an arbitrary AWV at the transmitter.
+  /// True link SNR for an arbitrary AWV at the transmitter. Draws no
+  /// randomness.
   double true_snr_with_weights(const Node& tx, const WeightVector& weights,
                                const Node& rx, int rx_sector) const;
 
@@ -84,10 +97,17 @@ class LinkSimulator {
   const RadioConfig& radio() const { return radio_; }
 
  private:
+  /// The memoized view of tx -> rx at the current poses and environment
+  /// revision, traced on a miss into the older of the two entries (one
+  /// per direction of a mutual training).
+  LinkView& view(const Node& tx, const Node& rx) const;
+
   const Environment* env_;
   RadioConfig radio_;
   MeasurementModel measurement_;
   TimingModel timing_;
+  mutable std::array<std::optional<LinkView>, 2> views_;
+  mutable std::size_t next_view_{0};
 };
 
 }  // namespace talon

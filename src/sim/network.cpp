@@ -107,12 +107,13 @@ void NetworkSimulator::train_link(std::size_t l, std::size_t round,
   const std::vector<int> subset = session.next_probe_subset();
   out.probes = subset.size();
 
-  LinkSimulator link(*environment_, config_.radio, config_.measurement,
-                     Rng(substream_seed(config_.seed, kChannelStream,
-                                        static_cast<std::uint64_t>(l), round)));
-  const MutualTrainingResult training =
-      link.mutual_training(*links_[l].initiator, *links_[l].responder,
-                           probing_burst_schedule(subset));
+  Link& link = links_[l];
+  LinkSimulator& channel = link.channel.emplace(
+      *environment_, config_.radio, config_.measurement,
+      Rng(substream_seed(config_.seed, kChannelStream, static_cast<std::uint64_t>(l),
+                         round)));
+  const MutualTrainingResult training = channel.mutual_training(
+      *link.initiator, *link.responder, probing_burst_schedule(subset));
   out.training_success = training.success;
 
   // User space, phase 1: drain the responder's ring and park the sweep.
@@ -175,10 +176,9 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
           // Selection phase: one batched branch-and-bound walk computes
           // every parked sweep's argmax (per-link completion installs
           // the overrides in link order). The true-SNR probe of each
-          // selection rebuilds the link's channel view from the same
-          // substream the physical phase used -- true_snr_db draws no
-          // randomness, so the outcome is bit-identical to evaluating
-          // it inside train_link.
+          // selection rides the channel view the link's physical phase
+          // traced this round -- true_snr_db draws no randomness, so the
+          // outcome is bit-identical to evaluating it inside train_link.
           round_selections.clear();
           daemon_.complete_prepared(&round_selections);
           for (std::size_t l = 0; l < k; ++l) {
@@ -187,13 +187,9 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
             LinkRoundOutcome& out = round.links[l];
             out.selected = true;
             out.sector_id = it->second->sector_id;
-            LinkSimulator link(
-                *environment_, config_.radio, config_.measurement,
-                Rng(substream_seed(config_.seed, kChannelStream,
-                                   static_cast<std::uint64_t>(l), r)));
-            out.snr_db =
-                link.true_snr_db(*links_[l].initiator, out.sector_id,
-                                 *links_[l].responder, kRxQuasiOmniSectorId);
+            const Link& link = links_[l];
+            out.snr_db = link.channel.value().true_snr_db(
+                *link.initiator, out.sector_id, *link.responder, kRxQuasiOmniSectorId);
           }
         });
     engine.schedule(

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/channel/environment.hpp"
@@ -147,6 +148,9 @@ class NetworkSimulator {
     std::unique_ptr<Wil6210Driver> driver;  ///< bound to the responder.
     /// Schedule jitter within the training period (fixed per link).
     double phase_s{0.0};
+    /// This round's channel, built by the physical phase; the selection
+    /// phase probes the chosen sector through its memoized view.
+    std::optional<LinkSimulator> channel;
   };
 
   /// The physical phase of one link in one round (the commuting event

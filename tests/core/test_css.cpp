@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <span>
@@ -10,6 +11,7 @@
 
 #include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "tests/core/synthetic_table.hpp"
 
 namespace talon {
@@ -259,6 +261,99 @@ TEST(Css, BatchedSelectEqualsSelectPerSweep) {
                 single.estimated_direction->elevation_deg);
     }
   }
+}
+
+// --- the output invariant ---------------------------------------------------
+
+bool on_grid(const Direction& d, const AngularGrid& grid) {
+  return d.azimuth_deg >= grid.azimuth.first && d.azimuth_deg <= grid.azimuth.last() &&
+         d.elevation_deg >= grid.elevation.first &&
+         d.elevation_deg <= grid.elevation.last();
+}
+
+TEST(CssSelectionInvariant, ForgedViolationsThrow) {
+  const AngularGrid grid = synthetic_grid();
+  const CssResult ok{.valid = true,
+                     .sector_id = 1,
+                     .estimated_direction = Direction{-60.0, 30.0},
+                     .correlation_peak = 1.0};
+  EXPECT_NO_THROW(check_selection_invariant(ok, grid));
+  for (const double peak : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), -1.0, 1.5}) {
+    CssResult bad = ok;
+    bad.correlation_peak = peak;
+    EXPECT_THROW(check_selection_invariant(bad, grid), InvariantError) << peak;
+    bad.valid = false;  // an invalid result carries no claim
+    EXPECT_NO_THROW(check_selection_invariant(bad, grid));
+  }
+  for (const Direction d : {Direction{-90.0, 0.0}, Direction{60.5, 0.0},
+                            Direction{0.0, -2.0}, Direction{0.0, 35.0},
+                            Direction{std::numeric_limits<double>::quiet_NaN(), 0.0}}) {
+    CssResult bad = ok;
+    bad.estimated_direction = d;
+    EXPECT_THROW(check_selection_invariant(bad, grid), InvariantError)
+        << d.azimuth_deg << ", " << d.elevation_deg;
+  }
+}
+
+TEST(CssMutationCampaign, NoSelectionIsEverOffGridOrNan) {
+  // Seeded mutations of clean sweeps: reading values become NaN, +-inf or
+  // +-1e308, sector IDs become ones the table does not know. Over every
+  // selection path (batched argmax, the confidence mode's full surface,
+  // the SNR-only ablation) nothing throws, and every valid selection has a
+  // finite peak in [0, 1] and a direction on the search grid.
+  const PatternTable table = synthetic_table();
+  const AngularGrid grid = synthetic_grid();
+  const int unknown_ids[] = {0, -1, 99, std::numeric_limits<int>::max()};
+  CssConfig confidence = synthetic_config();
+  confidence.compute_confidence = true;
+  CssConfig snr_only = synthetic_config();
+  snr_only.use_rssi = false;
+  Rng rng(4242);
+  std::size_t valid = 0;
+  for (const CssConfig& config : {synthetic_config(), confidence, snr_only}) {
+    const CompressiveSectorSelector css(table, config);
+    CorrelationWorkspace ws;
+    for (int batch = 0; batch < 40; ++batch) {
+      std::vector<std::vector<SectorReading>> sweeps;
+      for (int k = 0; k < 8; ++k) {
+        const std::vector<int> picked = rng.sample_without_replacement(9, rng.uniform_int(1, 9));
+        std::vector<int> sectors;
+        for (int p : picked) sectors.push_back(p + 1);
+        auto probes = ideal_probes(
+            table, sectors, {rng.uniform(-60.0, 60.0), rng.uniform(0.0, 30.0)});
+        for (SectorReading& r : probes) {
+          switch (rng.uniform_int(0, 5)) {
+            case 0: r.snr_db = kHostileValues[rng.uniform_int(0, 4)]; break;
+            case 1: r.rssi_dbm = kHostileValues[rng.uniform_int(0, 4)]; break;
+            case 2: r.sector_id = unknown_ids[rng.uniform_int(0, 3)]; break;
+            default: break;  // left clean
+          }
+        }
+        sweeps.push_back(std::move(probes));
+      }
+      const std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
+      std::vector<CssResult> results(sweeps.size());
+      std::vector<std::optional<Direction>> directions(sweeps.size());
+      ASSERT_NO_THROW(css.select_batch(views, css.assets()->tx_candidates(), results, ws));
+      ASSERT_NO_THROW(css.estimate_directions(views, directions, ws));
+      for (std::size_t i = 0; i < sweeps.size(); ++i) {
+        if (directions[i]) {
+          EXPECT_TRUE(on_grid(*directions[i], grid));
+        }
+        const CssResult& r = results[i];
+        if (!r.valid) continue;
+        ++valid;
+        EXPECT_TRUE(std::isfinite(r.correlation_peak));
+        EXPECT_GE(r.correlation_peak, 0.0);
+        EXPECT_LE(r.correlation_peak, 1.0 + 1e-9);
+        if (r.estimated_direction) {
+          EXPECT_TRUE(on_grid(*r.estimated_direction, grid));
+        }
+      }
+    }
+  }
+  EXPECT_GT(valid, 500u);
 }
 
 TEST(Css, MinProbesBelowTwoRejected) {

@@ -118,7 +118,8 @@ TEST(Refinement, FineBeamBeatsCoarseSectorOffPeak) {
       make_refinement_candidates(source.geometry(), target, config);
   double best_refined = -1e9;
   for (const auto& c : candidates) {
-    best_refined = std::max(best_refined, source.gain_with_weights(c.weights, target));
+    best_refined = std::max(best_refined,
+                            source.gain_with_weights(c.weights, source.steer(target)));
   }
   EXPECT_GT(best_refined, best_sector);
 }
