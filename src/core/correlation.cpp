@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
@@ -17,9 +19,9 @@ namespace {
 constexpr std::size_t kTile = SubsetPanel::kTilePoints;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Probe counts at or below this are eligible for combined_surface's
-/// non-tiled direct walk through the full response matrix -- taken only
-/// while the subset looks one-shot (no cached panel yet, see
+/// A one-member surface group at or below this probe count is eligible
+/// for the non-tiled direct walk through the full response matrix --
+/// taken only while the subset looks one-shot (no cached panel yet, see
 /// ResponseMatrix::panel_if_warm): at tiny M even a scratch panel build
 /// costs more than the single walk it would replace, but once a subset
 /// repeats the compacted panel's streaming reads win, so it gets built
@@ -198,69 +200,7 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
 
 Grid2D CorrelationEngine::combined_surface(
     std::span<const SectorReading> readings) const {
-  // Fused Eq. 5: one panel walk computes the SNR dot, the RSSI dot and
-  // the surface product. The pattern vector x (and so its norm) is shared
-  // by both channels; only the probe vector differs.
-  const ProbeVectors probes = collect_probes(readings, true, true);
-  TALON_EXPECTS(probes.slots.size() >= 2);
-
-  double snr_norm_sq = 0.0;
-  for (double v : probes.snr) snr_norm_sq += v * v;
-  TALON_EXPECTS(snr_norm_sq > 0.0);
-  const double snr_norm = std::sqrt(snr_norm_sq);
-
-  double rssi_norm_sq = 0.0;
-  for (double v : probes.rssi) rssi_norm_sq += v * v;
-  TALON_EXPECTS(rssi_norm_sq > 0.0);
-  const double rssi_norm = std::sqrt(rssi_norm_sq);
-
-  Grid2D out(matrix_.grid());
-  std::vector<double>& w = out.values();
-
-  // Small-M one-shot fast path: on the first sighting of a subset,
-  // walking the full response matrix rows directly beats building a
-  // panel this call might use once (even a scratch build gathers the
-  // whole matrix). Once the subset repeats -- panel_if_warm promotes it
-  // on the second sighting -- the compacted tile walk below wins: it
-  // streams M*8 bytes per point through the SIMD kernel instead of
-  // gathering from the full sector row. Both paths are bit-identical: per
-  // point, the dots, the norm and the epilogue all accumulate in the same
-  // ascending sequence order (the panel's values and norms are built in
-  // exactly this order).
-  std::shared_ptr<const SubsetPanel> panel =
-      probes.slots.size() <= kDirectSurfaceMaxM
-          ? matrix_.panel_if_warm(probes.slots)
-          : matrix_.lease(probes.slots).panel;
-  if (panel == nullptr) {
-    direct_surface(probes, snr_norm, rssi_norm, w);
-    return out;
-  }
-
-  const SubsetPanel& pan = *panel;
-  const std::size_t m_count = pan.m();
-
-  double dot_snr[kTile];
-  double dot_rssi[kTile];
-  for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
-    const std::size_t g0 = t * kTile;
-    const std::size_t count = std::min(kTile, pan.points - g0);
-    const double* block = pan.tile_values(t);
-    tile_dots(block, probes.snr.data(), probes.rssi.data(), m_count, dot_snr,
-              dot_rssi);
-    for (std::size_t gi = 0; gi < count; ++gi) {
-      const std::size_t g = g0 + gi;
-      const double x_norm_sq = pan.norms_sq[g];
-      if (x_norm_sq <= 0.0) {
-        w[g] = 0.0;
-        continue;
-      }
-      const double x_norm = std::sqrt(x_norm_sq);
-      const double cs = dot_snr[gi] / (snr_norm * x_norm);
-      const double cr = dot_rssi[gi] / (rssi_norm * x_norm);
-      w[g] = (cs * cs) * (cr * cr);
-    }
-  }
-  return out;
+  return std::move(combined_surface_batch(std::span(&readings, 1)).front());
 }
 
 void CorrelationEngine::direct_surface(const ProbeVectors& probes, double snr_norm,
@@ -654,10 +594,6 @@ std::vector<Grid2D> CorrelationEngine::combined_surface_batch(
   std::vector<double> rssi_norms;
   for (const auto& [slots, members] : panels) {
     const std::size_t batch = members.size();
-    const std::shared_ptr<const SubsetPanel> panel = matrix_.lease(slots).panel;
-    const SubsetPanel& pan = *panel;
-    const std::size_t m_count = pan.m();
-
     ps.resize(batch);
     pr.resize(batch);
     w.resize(batch);
@@ -678,6 +614,28 @@ std::vector<Grid2D> CorrelationEngine::combined_surface_batch(
       out[members[b]] = Grid2D(matrix_.grid());
       w[b] = out[members[b]].values().data();
     }
+
+    // Small-M one-shot fast path for a lone sweep: on the first sighting
+    // of a subset, walking the full response matrix rows directly beats
+    // building a panel this call might use once (even a scratch build
+    // gathers the whole matrix). Once the subset repeats -- panel_if_warm
+    // promotes it on the second sighting -- the compacted tile walk below
+    // wins: it streams M*8 bytes per point through the SIMD kernel instead
+    // of gathering from the full sector row. Both paths are bit-identical:
+    // per point, the dots, the norm and the epilogue all accumulate in the
+    // same ascending sequence order (the panel's values and norms are
+    // built in exactly this order).
+    const std::shared_ptr<const SubsetPanel> panel =
+        batch == 1 && slots.size() <= kDirectSurfaceMaxM
+            ? matrix_.panel_if_warm(slots)
+            : matrix_.lease(slots).panel;
+    if (panel == nullptr) {
+      direct_surface(probes[members[0]], snr_norms[0], rssi_norms[0],
+                     out[members[0]].values());
+      continue;
+    }
+    const SubsetPanel& pan = *panel;
+    const std::size_t m_count = pan.m();
 
     double dot_snr[kTile];
     double dot_rssi[kTile];

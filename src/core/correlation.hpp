@@ -212,7 +212,8 @@ class CorrelationEngine {
   Grid2D surface(std::span<const SectorReading> readings, SignalValue value) const;
 
   /// Eq. 5: element-wise product of the SNR and RSSI surfaces, computed in
-  /// one fused grid pass (one panel walk for both dots and the product).
+  /// one fused grid pass (both dots and the product per point):
+  /// combined_surface_batch for one sweep (a batch of one).
   Grid2D combined_surface(std::span<const SectorReading> readings) const;
 
   using ArgmaxResult = talon::ArgmaxResult;
@@ -248,10 +249,12 @@ class CorrelationEngine {
 
   /// Batched Eq. 5: one surface per input sweep. Sweeps whose usable
   /// probes map onto the same slot sequence share one panel resolution and
-  /// one per-point sqrt pass. Results are bit-for-bit identical to calling
-  /// combined_surface on each element (same accumulation order per sweep),
-  /// so callers may batch opportunistically. Every sweep needs >= 2 usable
-  /// readings with positive probe norms, like the single-sweep path.
+  /// one per-point sqrt pass; a lone sweep at small M whose subset has no
+  /// cached panel yet walks the matrix rows directly (direct_surface).
+  /// Every route accumulates each point in the same order, so a surface's
+  /// bits do not depend on how the sweeps were grouped and callers may
+  /// batch opportunistically. Every sweep needs >= 2 usable readings with
+  /// positive probe norms.
   std::vector<Grid2D> combined_surface_batch(
       std::span<const std::span<const SectorReading>> sweeps) const;
 
@@ -308,8 +311,8 @@ class CorrelationEngine {
                            bool need_rssi, ProbeVectors& out) const;
 
   /// Eq. 5 over the whole grid straight from the matrix rows, into `w`:
-  /// combined_surface's one-shot small-M path, bit-identical to the panel
-  /// walk. Touches no panel.
+  /// combined_surface_batch's one-shot small-M path, bit-identical to the
+  /// panel walk. Touches no panel.
   void direct_surface(const ProbeVectors& probes, double snr_norm, double rssi_norm,
                       std::span<double> w) const;
 

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "src/antenna/codebook.hpp"
@@ -159,8 +160,16 @@ std::vector<std::function<void(RayTracedEnvironment&)>> environment_states(
   return states;
 }
 
-class LinkViewOracle
-    : public ::testing::TestWithParam<std::unique_ptr<Environment> (*)()> {};
+/// A factory environment, printed by name so each case's test name is the
+/// same on every run (a bare function pointer prints as its address).
+struct FactoryEnvironment {
+  const char* name;
+  std::unique_ptr<Environment> (*make)();
+};
+
+void PrintTo(const FactoryEnvironment& f, std::ostream* os) { *os << f.name; }
+
+class LinkViewOracle : public ::testing::TestWithParam<FactoryEnvironment> {};
 
 TEST_P(LinkViewOracle, EveryTxSectorMatchesPerCallTraceBitForBit) {
   const ReferenceFrontEnd tx_ref(kTxSeed);
@@ -169,7 +178,7 @@ TEST_P(LinkViewOracle, EveryTxSectorMatchesPerCallTraceBitForBit) {
   Node rx(node_config(2, kRxSeed));
   const RadioConfig radio;
   const MeasurementModelConfig measurement;
-  const auto prototype = GetParam()();
+  const auto prototype = GetParam().make();
   const auto& room = dynamic_cast<const RayTracedEnvironment&>(*prototype);
   Rng rng(2024);
   std::size_t compared = 0;
@@ -206,7 +215,7 @@ TEST_P(LinkViewOracle, ArbitraryAwvMatchesPerCallTraceBitForBit) {
   Node tx(node_config(1, kTxSeed));
   Node rx(node_config(2, kRxSeed));
   const RadioConfig radio;
-  const auto env = GetParam()();
+  const auto env = GetParam().make();
   const LinkSimulator sim(*env, radio, MeasurementModelConfig{}, Rng(1));
   Rng rng(77);
   for (int pose = 0; pose < 4; ++pose) {
@@ -225,8 +234,10 @@ TEST_P(LinkViewOracle, ArbitraryAwvMatchesPerCallTraceBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FactoryEnvironments, LinkViewOracle,
-                         ::testing::Values(&make_anechoic_chamber, &make_lab_environment,
-                                           &make_conference_room));
+                         ::testing::Values(
+                             FactoryEnvironment{"anechoic_chamber", &make_anechoic_chamber},
+                             FactoryEnvironment{"lab", &make_lab_environment},
+                             FactoryEnvironment{"conference_room", &make_conference_room}));
 
 // --- invalidation: one simulator, one key part changed between calls -------
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/histogram.hpp"
 #include "src/common/rng.hpp"
 #include "src/driver/css_daemon.hpp"
 #include "tests/driver/serve_testutil.hpp"
@@ -76,7 +77,7 @@ TEST(ServeDeterminism, AsyncMatchesSyncBitIdenticallyAtAnyThreadCount) {
   }
 
   std::string reference_scrape;
-  for (const int threads : {1, 2, 7}) {
+  for (const int threads : {1, 2, 4, 7}) {
     auto assets = make_serve_assets();
     ServeConfig serve_config;
     serve_config.threads = threads;
@@ -167,6 +168,15 @@ TEST(ServeDeterminism, HotSwapMidStreamDropsNothingAndRebindsEveryLink) {
   EXPECT_EQ(rounds, serve.processed());
   EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(kSwapLinks));
   EXPECT_EQ(serve.current_assets().get(), recalibrated.get());
+
+  // measure_latency is on by default: every processed report lands in the
+  // selection-latency histogram, and none overflows its last bucket.
+  const LatencyHistogram& latency =
+      serve.telemetry().histogram("serve_selection_latency_us");
+  EXPECT_EQ(latency.count(), serve.processed());
+  bool saturated = true;
+  latency.quantile_bound_us(0.99, &saturated);
+  EXPECT_FALSE(saturated);
 }
 
 TEST(ServeDeterminism, TrySubmitAppliesBackpressureWhenFull) {

@@ -75,7 +75,7 @@ TEST(MeshSimulatorTest, BitIdenticalAcrossThreadCounts) {
   const MeshRunResult baseline = MeshSimulator(config).run();
   EXPECT_GT(baseline.events_executed, 0u);
 
-  for (int threads : {2, 7}) {
+  for (int threads : {2, 4, 7}) {
     config.threads = threads;
     const MeshRunResult result = MeshSimulator(config).run();
     EXPECT_TRUE(result == baseline) << "threads=" << threads;

@@ -93,7 +93,7 @@ TEST(NetworkSimulatorTest, BitIdenticalAcrossThreadCounts) {
   const NetworkRunResult baseline = serial.run();
   const std::vector<Decision> expected = decisions(baseline);
 
-  for (int threads : {2, 7}) {
+  for (int threads : {2, 4, 7}) {
     NetworkSimulator sim(small_config(threads), shared_room(), shared_assets());
     const NetworkRunResult result = sim.run();
     EXPECT_EQ(decisions(result), expected) << "threads=" << threads;

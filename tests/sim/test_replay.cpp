@@ -17,6 +17,7 @@ const std::vector<ReplayOptions>& all_modes() {
       ReplayOptions{.threads = 1, .batch = false},
       ReplayOptions{.threads = 1, .batch = true},
       ReplayOptions{.threads = 2, .batch = true},
+      ReplayOptions{.threads = 4, .batch = true},
       ReplayOptions{.threads = 7, .batch = true},
       ReplayOptions{.threads = 7, .batch = false},
   };

@@ -34,6 +34,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,29 @@ void print_usage() {
       "  timing   [--probes M]\n"
       "all commands accept --threads N (default: hardware concurrency,\n"
       "TALON_THREADS overrides) for the parallel replay engine\n");
+}
+
+/// The venues a `--env` option can name, as the usage line lists them.
+struct Venue {
+  const char* name;
+  Scenario (*make)(std::uint64_t seed);
+};
+constexpr Venue kLab{"lab", make_lab_scenario};
+constexpr Venue kConference{"conference", make_conference_scenario};
+constexpr Venue kAnechoic{"anechoic", make_anechoic_scenario};
+
+/// The scenario `env` names among a command's `venues`. Any other name
+/// throws, so a typo fails the command before it measures or records
+/// anything.
+Scenario venue_scenario(const std::string& env, std::initializer_list<Venue> venues,
+                        std::uint64_t seed) {
+  std::string names;
+  for (const Venue& venue : venues) {
+    if (env == venue.name) return venue.make(seed);
+    names += names.empty() ? "" : "|";
+    names += venue.name;
+  }
+  throw ParseError("unknown --env '" + env + "' (expected " + names + ")");
 }
 
 PatternTable measure_patterns(std::uint64_t seed, bool full) {
@@ -131,9 +155,7 @@ int cmd_train(const ArgParser& args) {
   const double head = args.number_or("--head", 20.0);
   const auto probes = static_cast<std::size_t>(args.integer_or("--probes", 14));
 
-  Scenario scenario = env == "conference"  ? make_conference_scenario(seed)
-                      : env == "anechoic" ? make_anechoic_scenario(seed)
-                                          : make_lab_scenario(seed);
+  Scenario scenario = venue_scenario(env, {kLab, kConference, kAnechoic}, seed);
   scenario.set_head(head, 0.0);
 
   PatternTable table;
@@ -179,8 +201,7 @@ int cmd_record(const ArgParser& args) {
   const std::string env = args.option_or("--env", "conference");
   const std::string output = args.option_or("--output", "records.csv");
   const auto seed = static_cast<std::uint64_t>(args.integer_or("--seed", 42));
-  Scenario scenario =
-      env == "lab" ? make_lab_scenario(seed) : make_conference_scenario(seed);
+  Scenario scenario = venue_scenario(env, {kLab, kConference}, seed);
 
   RecordingConfig config;
   const double az_step = args.number_or("--az-step", 5.0);
@@ -480,7 +501,7 @@ int cmd_serve(const ArgParser& args) {
   }
 
   // Deterministic report stream: the same substreams the serve tests and
-  // bench_serve draw from, so a run is reproducible from its seed.
+  // the serve benchmark draw from, so a run is reproducible from its seed.
   const PatternTable& patterns = assets->patterns();
   const std::vector<int> ids = patterns.ids();
   auto make_report = [&](int link, std::uint64_t round) {
