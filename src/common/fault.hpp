@@ -185,6 +185,8 @@ class LinkFaultInjector {
     std::uint64_t round{0};
     bool ge_bad{false};
     FaultStats stats;
+
+    friend bool operator==(const State&, const State&) = default;
   };
   State export_state() const { return State{round_, ge_bad_, stats_}; }
   void import_state(const State& state) {

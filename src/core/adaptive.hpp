@@ -52,6 +52,8 @@ class AdaptiveProbeController {
     std::vector<int> window;
     std::vector<int> previous_window_ids;
     bool has_previous{false};
+
+    friend bool operator==(const State&, const State&) = default;
   };
   State export_state() const {
     return State{probes_, window_, previous_window_ids_, has_previous_};

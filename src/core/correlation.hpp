@@ -20,9 +20,11 @@
 // selection hot path -- as an exact branch-and-bound argmax that prunes
 // grid tiles with a Cauchy-Schwarz upper bound and returns the
 // bit-identical peak of the full surface without materializing it. There
-// is one branch-and-bound walk, batched (combined_argmax_batch): sweeps
-// sharing a probe subset walk the tile pyramid together, and a single
-// sweep (combined_argmax) is a batch of one.
+// is one branch-and-bound walk, batched (combined_argmax_batch): a single
+// sweep (combined_argmax, what every link session runs) is a batch of
+// one, and the replay engine's batched mode hands a cell's sweeps to one
+// call, where sweeps sharing a probe subset walk the tile pyramid
+// together.
 #pragma once
 
 #include <cmath>
@@ -118,8 +120,8 @@ struct ProbeVectors {
   std::size_t dropped{0};
 };
 
-/// Caller-owned scratch for the selection hot path (one per LinkSession /
-/// replay cell / daemon). Holds the collected probe vectors, the last slot
+/// Caller-owned scratch for the selection hot path (one per LinkSession's
+/// selector and per replay cell). Holds the collected probe vectors, the last slot
 /// sequence and its cached subset panel (never a one-shot scratch panel,
 /// so an idle workspace pins no panel) and the branch-and-bound tile
 /// scratch, so that once warmed
@@ -229,7 +231,9 @@ class CorrelationEngine {
   /// same slot sequence form a group that walks the tile pyramid ONCE:
   /// tiles are screened for every member at each visit (ordered by the
   /// best member bound), so the panel's tile values are touched while
-  /// cache-hot for all K links instead of K times cold. Every member
+  /// cache-hot for all K members instead of K times cold. Only the
+  /// replay engine's batched mode passes K > 1; a link session selects
+  /// one sweep at a time. Every member
   /// prunes by its own bound, so each result is bit-identical to
   /// combined_surface(sweeps[i]).peak() regardless of grouping (asserted
   /// per member in debug builds). Steady state on stable sweep shapes

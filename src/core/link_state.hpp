@@ -163,6 +163,8 @@ class LinkLifecycle {
     std::size_t window_left{0};
     std::size_t backoff{1};
     LifecycleStats stats;
+
+    friend bool operator==(const State&, const State&) = default;
   };
   State export_state() const {
     return State{state_, consecutive_failures_, window_left_, backoff_, stats_};

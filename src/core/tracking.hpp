@@ -50,6 +50,8 @@ class PathTracker {
     std::optional<Direction> track;
     std::optional<Direction> jump_candidate;
     int jump_run{0};
+
+    friend bool operator==(const State&, const State&) = default;
   };
   State export_state() const { return State{track_, jump_candidate_, jump_run_}; }
   void import_state(const State& state) {

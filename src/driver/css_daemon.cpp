@@ -78,46 +78,12 @@ std::vector<int> CssDaemon::link_ids() const {
   return ids;
 }
 
-bool CssDaemon::joins_batch(const LinkSession& session) const {
-  return session.pending_batchable() && session.assets().get() == assets_.get();
-}
-
 void CssDaemon::complete_prepared(std::map<int, std::optional<CssResult>>* out) {
-  batch_links_.clear();
-  batch_sweeps_.clear();
-  for (auto& [id, session] : sessions_) {
-    if (!session->sweep_pending() || !joins_batch(*session)) continue;
-    batch_links_.push_back(session.get());
-    batch_sweeps_.emplace_back(session->pending_readings());
-  }
-  if (!batch_links_.empty()) {
-    // Batchable sessions run the stateless CSS fast path with the shared
-    // default CssConfig (prepare_sweep() excludes tracking and
-    // degradation, the only knobs session construction changes) over the
-    // daemon's own assets (joins_batch() excludes per-link tables), so
-    // one selector -- the first batchable session's -- computes every
-    // member's selection bit-identically to its own.
-    batch_results_.resize(batch_links_.size());
-    batch_links_.front()->css().select_batch(batch_sweeps_,
-                                             assets_->tx_candidates(),
-                                             batch_results_, batch_ws_);
-  }
-  // Complete in session (map) order; batchable sessions consume their
-  // batched result, the rest select with their own stateful selector.
-  std::size_t j = 0;
   for (auto& [id, session] : sessions_) {
     if (!session->sweep_pending()) continue;
-    const CssResult* batched = joins_batch(*session) ? &batch_results_[j++] : nullptr;
-    std::optional<CssResult> result = session->complete_sweep(batched);
+    std::optional<CssResult> result = session->complete_sweep();
     if (out != nullptr) (*out)[id] = std::move(result);
   }
-}
-
-std::map<int, std::optional<CssResult>> CssDaemon::process_sweeps() {
-  for (auto& [id, session] : sessions_) session->prepare_sweep();
-  std::map<int, std::optional<CssResult>> out;
-  complete_prepared(&out);
-  return out;
 }
 
 FaultStats CssDaemon::total_fault_stats() const {

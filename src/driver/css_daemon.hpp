@@ -7,7 +7,9 @@
 // After each training round the owning session drains the sweep info
 // through its driver, runs compressive selection on the shared assets,
 // installs the result via the sector override, and optionally lets the
-// adaptive controller pick the next round's probe count.
+// adaptive controller pick the next round's probe count. Every selection
+// runs inside its own session, so links share nothing mutable and a
+// caller may run different links' rounds concurrently.
 #pragma once
 
 #include <map>
@@ -48,9 +50,7 @@ class CssDaemon {
 
   /// Headless with per-link assets: the session rides `assets` instead
   /// of the daemon's shared table (a link measured against a different
-  /// codebook, or mid-rollout of a recalibration). Such sessions never
-  /// join the shared batched-selection walk -- complete_prepared()
-  /// routes them through their own selector.
+  /// codebook, or mid-rollout of a recalibration) and selects on it.
   LinkSession& add_headless_link(int link_id, Rng rng,
                                  const CssDaemonConfig& config,
                                  std::shared_ptr<const PatternAssets> assets);
@@ -73,26 +73,14 @@ class CssDaemon {
   /// The immutable assets every session shares (never null).
   const std::shared_ptr<const PatternAssets>& assets() const { return assets_; }
 
-  // --- multi-link batched round ---------------------------------------------
+  // --- split-phase round -----------------------------------------------------
 
-  /// Finish a round for every session with a parked sweep (see
-  /// LinkSession::prepare_sweep): the batchable sessions' selections run
-  /// as ONE CorrelationEngine::combined_argmax_batch walk over the shared
-  /// assets -- links probing the same subset traverse each response tile
-  /// while it is cache-hot -- and the rest (tracking, degradation,
-  /// fallback rounds, empty sweeps) complete with their own selectors.
-  /// Results land in `out[link_id]` (entries for links without a parked
-  /// sweep are untouched). Bit-identical to calling complete_sweep() on
-  /// each session in isolation. Scratch lives on the daemon, so repeated
-  /// rounds are allocation-free once warm.
+  /// Finish the round of every session with a parked sweep (see
+  /// LinkSession::prepare_sweep): complete_sweep() on each, in link-id
+  /// order. Results land in `out[link_id]` (entries for links without a
+  /// parked sweep are untouched).
   void complete_prepared(
       std::map<int, std::optional<CssResult>>* out = nullptr);
-
-  /// prepare_sweep() on every session, then complete_prepared(): the
-  /// whole-fleet analogue of LinkSession::process_sweep(), one batched
-  /// selection walk per round. Returns one result per session, keyed by
-  /// link id.
-  std::map<int, std::optional<CssResult>> process_sweeps();
 
   // --- robustness observability ---------------------------------------------
 
@@ -109,22 +97,12 @@ class CssDaemon {
 
  private:
   LinkSession& insert_session(int link_id, std::unique_ptr<LinkSession> session);
-  /// May this parked sweep join the shared batched walk? Requires the
-  /// session's batchable verdict AND that it rides the daemon's own
-  /// assets -- a per-link or hot-swapped table must go through the
-  /// session's own selector.
-  bool joins_batch(const LinkSession& session) const;
 
   std::shared_ptr<const PatternAssets> assets_;
   CssDaemonConfig defaults_;
   /// Keyed by link id; unique_ptr keeps session addresses stable across
   /// insertions (sessions hand out references).
   std::map<int, std::unique_ptr<LinkSession>> sessions_;
-  /// Batched-selection scratch (complete_prepared), reused across rounds.
-  CorrelationWorkspace batch_ws_;
-  std::vector<LinkSession*> batch_links_;
-  std::vector<std::span<const SectorReading>> batch_sweeps_;
-  std::vector<CssResult> batch_results_;
 };
 
 }  // namespace talon

@@ -28,46 +28,6 @@ LinkLifecycleConfig session_lifecycle_config(const DegradationConfig& d) {
 
 }  // namespace
 
-bool operator==(const LinkSessionState& a, const LinkSessionState& b) {
-  auto lifecycle_eq = [](const LinkLifecycle::State& x,
-                         const LinkLifecycle::State& y) {
-    return x.state == y.state &&
-           x.consecutive_failures == y.consecutive_failures &&
-           x.window_left == y.window_left && x.backoff == y.backoff &&
-           x.stats == y.stats;
-  };
-  auto controller_eq = [](const AdaptiveProbeController::State& x,
-                          const AdaptiveProbeController::State& y) {
-    return x.probes == y.probes && x.window == y.window &&
-           x.previous_window_ids == y.previous_window_ids &&
-           x.has_previous == y.has_previous;
-  };
-  auto tracker_eq = [](const std::optional<PathTracker::State>& x,
-                       const std::optional<PathTracker::State>& y) {
-    if (x.has_value() != y.has_value()) return false;
-    if (!x) return true;
-    return x->track == y->track && x->jump_candidate == y->jump_candidate &&
-           x->jump_run == y->jump_run;
-  };
-  auto injector_eq = [](const std::optional<LinkFaultInjector::State>& x,
-                        const std::optional<LinkFaultInjector::State>& y) {
-    if (x.has_value() != y.has_value()) return false;
-    if (!x) return true;
-    return x->round == y->round && x->ge_bad == y->ge_bad &&
-           x->stats == y->stats;
-  };
-  return a.link_id == b.link_id && a.rounds == b.rounds &&
-         a.dropped_probes == b.dropped_probes &&
-         a.warned_unknown == b.warned_unknown &&
-         a.warn_cap_announced == b.warn_cap_announced &&
-         a.rng_state == b.rng_state &&
-         controller_eq(a.controller, b.controller) &&
-         lifecycle_eq(a.lifecycle, b.lifecycle) &&
-         a.degradation == b.degradation && tracker_eq(a.tracker, b.tracker) &&
-         injector_eq(a.injector, b.injector) &&
-         a.last_installed_sector == b.last_installed_sector;
-}
-
 DegradationStats& DegradationStats::operator+=(const DegradationStats& other) {
   css_rounds += other.css_rounds;
   failed_rounds += other.failed_rounds;
@@ -265,30 +225,21 @@ std::optional<CssResult> LinkSession::process_report(
   return complete_sweep();
 }
 
-bool LinkSession::prepare_sweep() {
+void LinkSession::prepare_sweep() {
   TALON_EXPECTS(driver_ != nullptr);
-  return prepare_report(driver_->read_sweep_readings());
+  prepare_report(driver_->read_sweep_readings());
 }
 
-bool LinkSession::prepare_report(std::vector<SectorReading> readings) {
+void LinkSession::prepare_report(std::vector<SectorReading> readings) {
   TALON_EXPECTS(!sweep_pending_);
   ++rounds_;
   pending_full_sweep_ = in_fallback();
   pending_readings_ = std::move(readings);
   if (injector_) apply_reading_faults(pending_readings_);
   sweep_pending_ = true;
-  // Batchable iff complete_sweep() would run the plain stateless CSS
-  // select: a tracked or degradation-gated selection depends on per-link
-  // selector state the batched walk does not carry, a full-sweep round
-  // uses the SSW argmax, and an empty sweep short-circuits before
-  // selecting at all.
-  pending_batchable_ = !pending_full_sweep_ && tracking_ == nullptr &&
-                       !config_.degradation.enabled &&
-                       !pending_readings_.empty();
-  return pending_batchable_;
 }
 
-std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
+std::optional<CssResult> LinkSession::complete_sweep() {
   TALON_EXPECTS(sweep_pending_);
   sweep_pending_ = false;
   const bool full_sweep_round = pending_full_sweep_;
@@ -298,10 +249,8 @@ std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
     return std::nullopt;
   }
   const std::size_t usable = note_dropped_readings(readings);
-  TALON_EXPECTS(batched == nullptr || pending_batchable_);
-  CssResult result = batched != nullptr ? *batched
-                     : full_sweep_round ? ssw_fallback_.select(readings)
-                                        : strategy_->select(readings);
+  CssResult result = full_sweep_round ? ssw_fallback_.select(readings)
+                                      : strategy_->select(readings);
   bool healthy = result.valid && !result.fallback_used;
   bool withhold = false;
   if (!full_sweep_round && config_.degradation.enabled && result.valid) {

@@ -135,10 +135,8 @@ struct LinkSessionState {
   /// Last sector override delivered (never set when none was yet).
   std::optional<int> last_installed_sector;
 
-  friend bool operator==(const LinkSessionState&, const LinkSessionState&);
+  friend bool operator==(const LinkSessionState&, const LinkSessionState&) = default;
 };
-
-bool operator==(const LinkSessionState& a, const LinkSessionState& b);
 
 class LinkSession {
  public:
@@ -181,37 +179,24 @@ class LinkSession {
   /// sessions (the serving daemon feeds both kinds the same way).
   std::optional<CssResult> process_report(std::vector<SectorReading> readings);
 
-  // --- split-phase sweep processing (multi-link batched selection) ----------
+  // --- split-phase sweep processing -----------------------------------------
   //
-  // The daemon's batched path runs each round in two phases so that the
-  // per-link work (ring-buffer drain, fault injection) can happen per
-  // link while the selection itself is batched across links into ONE
-  // CorrelationEngine::combined_argmax_batch walk. The sequence
-  //   prepare_sweep(); complete_sweep(&batched_result_for_this_link);
-  // is bit-identical to process_sweep() when the batched result equals
-  // what this session's selector would have computed -- which
-  // CssDaemon::process_sweeps() guarantees by batching only sessions
-  // whose selection is the plain stateless CSS fast path.
+  // process_sweep() is prepare_sweep() followed by complete_sweep(); the
+  // split lets a caller time or inspect the parked sweep between the ring
+  // drain and the selection (CssDaemon::complete_prepared finishes every
+  // parked session in link-id order).
 
   /// Phase 1: count the round, drain the ring buffer and apply reading
-  /// faults; the sweep is parked until complete_sweep(). Returns true
-  /// when the parked selection is BATCHABLE -- a plain compressive
-  /// select with no per-link selector state (no tracking, no
-  /// degradation gating, not a full-sweep fallback round, sweep
-  /// non-empty) -- so the caller may compute it externally via
-  /// css().select_batch() and hand it to complete_sweep().
-  bool prepare_sweep();
+  /// faults; the sweep is parked until complete_sweep().
+  void prepare_sweep();
 
   /// prepare_sweep() with caller-supplied readings instead of a ring
-  /// drain (the report-driven ingest path). Same return contract.
-  bool prepare_report(std::vector<SectorReading> readings);
+  /// drain (the report-driven ingest path).
+  void prepare_report(std::vector<SectorReading> readings);
 
-  /// Phase 2: select -- from `batched` when given, else with this
-  /// session's own selector -- then gate, install and account exactly
-  /// like process_sweep(). Callers must pass `batched` only when
-  /// prepare_sweep() returned true, and it must hold the CSS result for
-  /// pending_readings().
-  std::optional<CssResult> complete_sweep(const CssResult* batched = nullptr);
+  /// Phase 2: select with this session's own selector, then gate,
+  /// install and account exactly like process_sweep().
+  std::optional<CssResult> complete_sweep();
 
   /// The sweep parked by prepare_sweep() (valid until complete_sweep()).
   std::span<const SectorReading> pending_readings() const {
@@ -220,12 +205,6 @@ class LinkSession {
 
   /// True between prepare_sweep() and complete_sweep().
   bool sweep_pending() const { return sweep_pending_; }
-
-  /// Last prepare_sweep() verdict: may this round's selection be batched?
-  bool pending_batchable() const { return pending_batchable_; }
-
-  /// The stateless selector core (for the daemon's batched select).
-  const CompressiveSectorSelector& css() const { return css_; }
 
   /// Number of sweeps processed on this link.
   std::size_t rounds() const { return rounds_; }
@@ -363,7 +342,6 @@ class LinkSession {
   std::vector<SectorReading> pending_readings_;
   bool pending_full_sweep_{false};
   bool sweep_pending_{false};
-  bool pending_batchable_{false};
   std::size_t dropped_probes_{0};
   /// Unknown sector IDs already warned about (warn once per ID, capped).
   std::set<int> warned_unknown_;

@@ -1,8 +1,9 @@
 // The asynchronous serving layer over CssDaemon.
 //
 // CssDaemon is a synchronous library: whoever holds it calls
-// process_report()/process_sweeps() inline. ServeDaemon turns it into a
-// long-running service shaped like a production beam-management daemon
+// process_report() or a session's process_sweep() inline. ServeDaemon
+// turns it into a long-running service shaped like a production
+// beam-management daemon
 // (Terragraph's per-node firmware agent): station threads SUBMIT sweep
 // reports into a lock-free MPSC queue and return immediately; one
 // consumer drains the queue, groups the reports per link, and fans the

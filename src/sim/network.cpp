@@ -24,16 +24,11 @@ constexpr std::uint64_t kSessionStream = streams::kNetworkSession;
 constexpr std::uint64_t kPhaseStream = streams::kNetworkPhase;
 
 // Priority phases of one training round on the event engine: the
-// commuting per-link physical phase first, then the serial batched
-// selection phase on the daemon entity (one
-// CssDaemon::complete_prepared walk for all K parked sweeps), then the
-// serial channel arbitration that consumes the round's outputs.
-// Priorities are barriers, so every sweep is parked before the batch
-// runs and every selection is installed before contention accounts the
-// round.
-constexpr int kPhysicalPhase = 0;
-constexpr int kSelectionPhase = 1;
-constexpr int kContentionPhase = 2;
+// commuting per-link rounds first, then the serial channel arbitration
+// that consumes their outputs. Priorities are barriers, so every link's
+// selection is installed before contention accounts the round.
+constexpr int kLinkPhase = 0;
+constexpr int kContentionPhase = 1;
 
 std::uint64_t link_salt(const NetworkConfig& config, std::size_t link) {
   return link < config.link_seed_salts.size() ? config.link_seed_salts[link] : 0;
@@ -107,8 +102,8 @@ void NetworkSimulator::train_link(std::size_t l, std::size_t round,
   const std::vector<int> subset = session.next_probe_subset();
   out.probes = subset.size();
 
-  Link& link = links_[l];
-  LinkSimulator& channel = link.channel.emplace(
+  const Link& link = links_[l];
+  LinkSimulator channel(
       *environment_, config_.radio, config_.measurement,
       Rng(substream_seed(config_.seed, kChannelStream, static_cast<std::uint64_t>(l),
                          round)));
@@ -116,15 +111,17 @@ void NetworkSimulator::train_link(std::size_t l, std::size_t round,
       *link.initiator, *link.responder, probing_burst_schedule(subset));
   out.training_success = training.success;
 
-  // User space, phase 1: drain the responder's ring and park the sweep.
-  // The selection itself -- and the override install that shapes the
-  // next round's feedback -- happens in the serial kSelectionPhase
-  // event, where the daemon batches all K links' argmaxes into one
-  // cache-hot walk over the shared response matrix. Bit-identical to
-  // the old per-link process_sweep() (the batched argmax is
-  // bit-identical to the single one, and no cross-link state is read
-  // between the phases).
-  session.prepare_sweep();
+  // User space: drain the responder's ring, select, and install the
+  // override that shapes the next round's feedback. The selection reads
+  // only this link's readings and state and the shared immutable assets,
+  // so it commutes with every other link's round. The true-SNR probe of
+  // the chosen sector rides the view the sweep just traced.
+  const std::optional<CssResult> selection = session.process_sweep();
+  if (!selection.has_value()) return;
+  out.selected = true;
+  out.sector_id = selection->sector_id;
+  out.snr_db = channel.true_snr_db(*link.initiator, out.sector_id, *link.responder,
+                                   kRxQuasiOmniSectorId);
 }
 
 NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
@@ -137,8 +134,8 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
   for (NetworkRound& round : result.rounds) round.links.resize(k);
 
   // The compatibility facade over the discrete-event core: round r is one
-  // engine timestamp r * period. The physical phase is K commuting
-  // per-link events (each worker touches only its own link's nodes,
+  // engine timestamp r * period. Each link's round is one commuting event
+  // of its entity (each worker touches only its own link's nodes,
   // firmware and session -- the same ownership rule the old parallel_for
   // obeyed), and the contention phase is one event of the channel-arbiter
   // entity, which serializes the round's trainings with the exact
@@ -151,10 +148,7 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
     link_entities.push_back(engine.add_entity("link-" + std::to_string(l)));
   }
   const EntityId arbiter_entity = engine.add_entity("channel-arbiter");
-  const EntityId daemon_entity = engine.add_entity("css-daemon");
   ChannelArbiter arbiter;
-  // Reused across rounds by the selection phase (serial, so no races).
-  std::map<int, std::optional<CssResult>> round_selections;
 
   for (std::size_t r = 0; r < config_.rounds; ++r) {
     const double round_start_s = static_cast<double>(r) * period_s;
@@ -163,35 +157,10 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
       engine.schedule(
           EventSpec{.time_s = round_start_s,
                     .entity = link_entities[l],
-                    .priority = kPhysicalPhase,
+                    .priority = kLinkPhase,
                     .commuting = true},
           [this, l, r, &round](EventContext&) { train_link(l, r, round.links[l]); });
     }
-    engine.schedule(
-        EventSpec{.time_s = round_start_s,
-                  .entity = daemon_entity,
-                  .priority = kSelectionPhase,
-                  .commuting = false},
-        [this, r, k, &round, &round_selections](EventContext&) {
-          // Selection phase: one batched branch-and-bound walk computes
-          // every parked sweep's argmax (per-link completion installs
-          // the overrides in link order). The true-SNR probe of each
-          // selection rides the channel view the link's physical phase
-          // traced this round -- true_snr_db draws no randomness, so the
-          // outcome is bit-identical to evaluating it inside train_link.
-          round_selections.clear();
-          daemon_.complete_prepared(&round_selections);
-          for (std::size_t l = 0; l < k; ++l) {
-            const auto it = round_selections.find(static_cast<int>(l));
-            if (it == round_selections.end() || !it->second.has_value()) continue;
-            LinkRoundOutcome& out = round.links[l];
-            out.selected = true;
-            out.sector_id = it->second->sector_id;
-            const Link& link = links_[l];
-            out.snr_db = link.channel.value().true_snr_db(
-                *link.initiator, out.sector_id, *link.responder, kRxQuasiOmniSectorId);
-          }
-        });
     engine.schedule(
         EventSpec{.time_s = round_start_s,
                   .entity = arbiter_entity,

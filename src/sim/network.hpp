@@ -11,15 +11,14 @@
 // out of the same model the closed-form estimate uses.
 //
 // Since the discrete-event refactor this class is a thin compatibility
-// facade over sim/event_engine: round r is one engine timestamp, the
-// per-link physical work is a commuting event batch (one link entity per
-// worker), then a serial daemon event runs the round's selections as ONE
-// batched argmax walk (CssDaemon::complete_prepared -- links probing the
-// same subset traverse each response tile while cache-hot), and finally
-// the contention phase is a channel-arbiter entity event
-// (sim/contention's ChannelArbiter). The facade's selections, deferrals
-// and airtime are bit-identical to the pre-engine round-based loop at any
-// thread count (pinned by tests/sim/test_network.cpp's golden sequence).
+// facade over sim/event_engine: round r is one engine timestamp, each
+// link's whole round -- sweep, ring drain, selection, override install
+// and the true-SNR probe of the chosen sector -- is one commuting event
+// of its link entity (the batch fans out one entity per worker), and the
+// contention phase is a channel-arbiter entity event (sim/contention's
+// ChannelArbiter). The facade's selections, deferrals and airtime are
+// bit-identical to the pre-engine round-based loop at any thread count
+// (pinned by tests/sim/test_network.cpp's golden sequence).
 //
 // Determinism contract: all randomness is drawn from substream_seed
 // families whose coordinates are (stream tag, link id, round); a link's
@@ -30,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/channel/environment.hpp"
@@ -148,14 +146,11 @@ class NetworkSimulator {
     std::unique_ptr<Wil6210Driver> driver;  ///< bound to the responder.
     /// Schedule jitter within the training period (fixed per link).
     double phase_s{0.0};
-    /// This round's channel, built by the physical phase; the selection
-    /// phase probes the chosen sector through its memoized view.
-    std::optional<LinkSimulator> channel;
   };
 
-  /// The physical phase of one link in one round (the commuting event
-  /// body): sweep, drain the ring, and park the sweep for the serial
-  /// selection phase (the daemon's batched complete_prepared event).
+  /// One link's whole round (the commuting event body): sweep, select
+  /// through the link's session, and probe the chosen sector's true SNR
+  /// on the channel the sweep traced.
   void train_link(std::size_t link, std::size_t round, LinkRoundOutcome& out);
 
   NetworkConfig config_;

@@ -220,13 +220,14 @@ TEST_F(CssDaemonTest, SteadySubsetsHitThePanelCache) {
   EXPECT_LE(after.misses - before.misses, 10u);
 }
 
-TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
+TEST(CssDaemonCompletePrepared, BitIdenticalToPerSessionProcessSweep) {
   // Two mirrored three-link worlds, identical seeds: world A completes
-  // each round with per-session process_sweep(), world B with the
-  // daemon's batched process_sweeps() (one combined_argmax_batch walk
-  // for the batchable sessions, own-selector completion for the
-  // tracking one). Every selection -- including the installed overrides
-  // -- must match bit for bit, round after round.
+  // each round with per-session process_sweep(), world B parks every
+  // link's sweep with prepare_sweep() and finishes the round with the
+  // daemon's complete_prepared(). One link tracks its path, so a
+  // stateful selector rides the split path too. Every selection --
+  // including the installed overrides -- must match bit for bit, round
+  // after round.
   const CssConfig defaults;
   const auto assets = PatternAssetsRegistry::global().get_or_create(
       ExperimentWorld::instance().table, defaults.search_grid, defaults.domain);
@@ -255,7 +256,7 @@ TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
   LinkSimulator lb2 = b2.make_link(Rng(103));
 
   CssDaemonConfig tracked;
-  tracked.track_path = true;  // link 2 is NOT batchable (stateful selector)
+  tracked.track_path = true;  // link 2 carries per-link selector state
   CssDaemon daemon_a(assets, CssDaemonConfig{});
   daemon_a.add_link(0, da0, Rng(21));
   daemon_a.add_link(1, da1, Rng(22));
@@ -304,12 +305,14 @@ TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
     for (int i = 0; i < 3; ++i) {
       reference[i] = daemon_a.session(i).process_sweep();
     }
-    const auto batched = daemon_b.process_sweeps();
-    ASSERT_EQ(batched.size(), 3u);
+    for (int i = 0; i < 3; ++i) daemon_b.session(i).prepare_sweep();
+    std::map<int, std::optional<CssResult>> split;
+    daemon_b.complete_prepared(&split);
+    ASSERT_EQ(split.size(), 3u);
     for (int i = 0; i < 3; ++i) {
       SCOPED_TRACE("round " + std::to_string(round) + " link " +
                    std::to_string(i));
-      expect_equal(reference.at(i), batched.at(i));
+      expect_equal(reference.at(i), split.at(i));
       if (reference.at(i).has_value()) {
         EXPECT_EQ(dvb[i]->sector_forced(), true);
         EXPECT_EQ(sb[i]->peer->firmware().sector_override(),
@@ -322,19 +325,22 @@ TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
   // both paths and no override moves.
   std::map<int, std::optional<CssResult>> reference;
   for (int i = 0; i < 3; ++i) reference[i] = daemon_a.session(i).process_sweep();
-  const auto batched = daemon_b.process_sweeps();
+  for (int i = 0; i < 3; ++i) daemon_b.session(i).prepare_sweep();
+  std::map<int, std::optional<CssResult>> split;
+  daemon_b.complete_prepared(&split);
+  ASSERT_EQ(split.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(reference.at(i).has_value());
-    EXPECT_FALSE(batched.at(i).has_value());
+    EXPECT_FALSE(split.at(i).has_value());
   }
 }
 
-TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
-  // Three headless links: 0 and 1 ride the daemon's shared assets (and
-  // stay batchable), 2 is registered with its OWN assets built from a
-  // genuinely different codebook. The batched round must (a) keep links
-  // 0/1 bit-identical to solo processing, (b) route link 2 through its
-  // own table -- never through the shared fingerprint.
+TEST(CssDaemonCrossAssets, PerLinkAssetsSelectOnTheirOwnTable) {
+  // Three headless links: 0 and 1 ride the daemon's shared assets, 2 is
+  // registered with its OWN assets built from a genuinely different
+  // codebook. A complete_prepared() round must (a) keep links 0/1
+  // bit-identical to solo processing, (b) select link 2 on its own
+  // table -- never on the shared fingerprint.
   const AngularGrid grid = testutil::synthetic_grid();
   const PatternTable shared_table = testutil::synthetic_table();
   // Per-sector gain tilt: a different codebook whose selections cannot
@@ -377,7 +383,8 @@ TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
 
   // Solo references: links 0/1 over the shared assets, link 2 over its
   // own, plus an ALIAS DETECTOR -- link 2's exact seed and reports over
-  // the shared assets, which is what a buggy batch walk would compute.
+  // the shared assets, which is what a session aliased onto the daemon's
+  // table would compute.
   CssDaemon solo_shared(shared, config);
   solo_shared.add_headless_link(0, Rng(31));
   solo_shared.add_headless_link(1, Rng(32));
@@ -403,7 +410,7 @@ TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
       const PatternTable& table =
           i == 2 ? warped->patterns() : shared->patterns();
       reports.push_back(testutil::make_report(4242, i, round, table));
-      ASSERT_TRUE(daemon.session(i).prepare_report(reports.back()));
+      daemon.session(i).prepare_report(reports.back());
     }
     std::map<int, std::optional<CssResult>> out;
     daemon.complete_prepared(&out);

@@ -87,7 +87,7 @@ TEST(FaultDeterminismTest, FaultedRunIsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(baseline.fault_totals.probes_lost, 0u);
   EXPECT_GT(baseline.fault_totals.feedback_drops, 0u);
 
-  for (int threads : {2, 7}) {
+  for (int threads : {2, 4, 7}) {
     NetworkSimulator sim(faulted_config(threads), shared_room(), shared_assets());
     const NetworkRunResult result = sim.run();
     EXPECT_EQ(decisions(result), expected) << "threads=" << threads;

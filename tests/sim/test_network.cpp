@@ -106,6 +106,58 @@ TEST(NetworkSimulatorTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(NetworkSimulatorTest, StatefulSessionsBitIdenticalAcrossThreadCounts) {
+  // Tracking, adaptive and degradation-gated sessions carry selector,
+  // controller and lifecycle state across rounds, and each link selects
+  // inside its own commuting event. Under real parallelism their
+  // decisions, totals and final session states must still match the
+  // serial run bit for bit.
+  NetworkConfig config = small_config(1);
+  config.links = 5;
+  config.rounds = 8;
+  config.session.track_path = true;
+  config.session.adaptive = true;
+  config.session.adaptive_config.window = 2;
+  config.session.degradation.enabled = true;
+  NetworkSimulator serial(config, shared_room(), shared_assets());
+  const NetworkRunResult baseline = serial.run();
+  const std::vector<Decision> expected = decisions(baseline);
+
+  // The state is live: some controller moved its probe count off the
+  // initial 14, and every tracker holds a path.
+  bool probes_moved = false;
+  for (const Decision& d : expected) probes_moved |= d.probes != 14;
+  EXPECT_TRUE(probes_moved);
+  for (int l = 0; l < serial.link_count(); ++l) {
+    EXPECT_TRUE(serial.daemon().session(l).tracked_direction().has_value())
+        << "link " << l;
+  }
+
+  for (int threads : {2, 4, 7}) {
+    config.threads = threads;
+    NetworkSimulator sim(config, shared_room(), shared_assets());
+    const NetworkRunResult result = sim.run();
+    EXPECT_EQ(decisions(result), expected) << "threads=" << threads;
+    EXPECT_EQ(result.training_airtime_share, baseline.training_airtime_share)
+        << "threads=" << threads;
+    EXPECT_EQ(result.deferred_trainings, baseline.deferred_trainings)
+        << "threads=" << threads;
+    EXPECT_EQ(result.mean_selected_snr_db, baseline.mean_selected_snr_db)
+        << "threads=" << threads;
+    EXPECT_EQ(result.goodput_per_link_mbps, baseline.goodput_per_link_mbps)
+        << "threads=" << threads;
+    EXPECT_EQ(result.degradation_totals, baseline.degradation_totals)
+        << "threads=" << threads;
+    EXPECT_EQ(result.lifecycle_totals, baseline.lifecycle_totals)
+        << "threads=" << threads;
+    for (int l = 0; l < sim.link_count(); ++l) {
+      EXPECT_EQ(sim.daemon().session(l).export_state(),
+                serial.daemon().session(l).export_state())
+          << "threads=" << threads << " link " << l;
+    }
+  }
+}
+
 TEST(NetworkSimulatorTest, PerturbingOneLinkNeverChangesTheOthers) {
   NetworkConfig base = small_config(2);
   NetworkSimulator baseline_sim(base, shared_room(), shared_assets());

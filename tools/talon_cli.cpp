@@ -32,6 +32,7 @@
 // mid-stream and snapshotting/restoring session state, then prints the
 // telemetry scrape; `table1` and `timing` print the protocol constants.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -103,6 +104,22 @@ Scenario venue_scenario(const std::string& env, std::initializer_list<Venue> ven
     names += venue.name;
   }
   throw ParseError("unknown --env '" + env + "' (expected " + names + ")");
+}
+
+/// The one range check on `--probes`, run before any command starts work.
+/// A probing sweep covers 1..34 transmit sectors; `analyze` needs two,
+/// the fewest readings its Eq. 5 estimates accept. Prints and returns
+/// false when the value is out of range.
+bool probes_in_range(const std::string& command, const ArgParser& args) {
+  constexpr const char* kReaders[] = {"train", "analyze", "dense",
+                                      "mesh",  "serve",   "timing"};
+  if (std::ranges::find(kReaders, command) == std::end(kReaders)) return true;
+  const long probes = args.integer_or("--probes", 14);
+  const long low = command == "analyze" ? 2 : 1;
+  if (probes >= low && probes <= kFullSweepProbes) return true;
+  std::fprintf(stderr, "talon-cli: %s: --probes must be in [%ld, %d] (got %ld)\n",
+               command.c_str(), low, kFullSweepProbes, probes);
+  return false;
 }
 
 PatternTable measure_patterns(std::uint64_t seed, bool full) {
@@ -634,6 +651,7 @@ int main(int argc, char** argv) {
     const int threads = apply_thread_count_option(args);
     std::printf("threads: %d\n", threads);
     const std::string command = args.positionals().empty() ? "" : args.positionals()[0];
+    if (!probes_in_range(command, args)) return 2;
     if (command == "measure") return cmd_measure(args);
     if (command == "summary") return cmd_summary(args);
     if (command == "train") return cmd_train(args);
