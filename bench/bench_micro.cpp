@@ -16,6 +16,7 @@
 #include "bench/common.hpp"
 #include "src/common/cpufeatures.hpp"
 #include "src/common/parallel.hpp"
+#include "src/common/rng.hpp"
 #include "src/antenna/synthesis.hpp"
 #include "src/core/css.hpp"
 #include "src/core/selector.hpp"
@@ -333,6 +334,21 @@ void BM_SubsetPolicyRandom(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubsetPolicyRandom);
+
+void BM_RngSubstream(benchmark::State& state) {
+  // One substream as the simulators use them: derive a fresh seed, build the
+  // Rng, take N uniform draws. N = 1 is the mesh simulator's per-(link,
+  // slot) churn and jitter stream; N = 312 is one full engine block.
+  const int draws = static_cast<int>(state.range(0));
+  std::uint64_t slot = 0;
+  for (auto _ : state) {
+    Rng rng(substream_seed(51, streams::kMeshJitter, 0, slot++));
+    double sum = 0.0;
+    for (int i = 0; i < draws; ++i) sum += rng.uniform(0.0, 1.0);
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_RngSubstream)->Arg(1)->Arg(14)->Arg(312)->Arg(5000);
 
 void BM_PatternTableCsvRoundTrip(benchmark::State& state) {
   const CsvTable csv = shared_table().to_csv();

@@ -106,6 +106,58 @@ std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t s0,
                              std::uint64_t s1 = 0, std::uint64_t s2 = 0,
                              std::uint64_t s3 = 0);
 
+/// std::mt19937_64, bit for bit, seeded lazily. Construction stores only
+/// the seed word; the first block's seed recurrence and twist are extended
+/// chunk by chunk, only as far as the words drawn need them, so a substream
+/// that takes one draw costs ~170 seed steps and a 16-word twist instead of
+/// 312 seed steps and a 312-word twist. Later blocks use the standard full
+/// twist. The outputs, and hence every std:: distribution driven by this
+/// engine, and the state text are those of std::mt19937_64.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kWords = 312;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) { x_[0] = seed; }
+
+  // Copies only the words that hold state (one, for a fresh engine).
+  Mt19937_64(const Mt19937_64& other) { *this = other; }
+  Mt19937_64& operator=(const Mt19937_64& other);
+
+  result_type operator()() {
+    if (next_ >= twisted_) refill();
+    // std::mt19937_64's tempering: (u, d), (s, b), (t, c), l.
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Exactly what operator<< of std::mt19937_64 prints for the same
+  /// stream position: the 312 state words, then the block index.
+  std::string state_text() const;
+
+  /// Parse a state_text() (or std::mt19937_64 operator<<) text. Throws
+  /// SnapshotError unless it is exactly 312 unsigned decimal words and an
+  /// index in [0, 312], separated by whitespace, with nothing else.
+  static Mt19937_64 from_state_text(const std::string& text);
+
+ private:
+  Mt19937_64() = default;
+  void refill();
+  void seed_through(std::size_t end);
+  void twist(std::size_t begin, std::size_t end);
+
+  std::uint64_t x_[kWords];
+  std::uint32_t next_ = 0;     ///< next word of the block to output
+  std::uint32_t twisted_ = 0;  ///< words of the block twisted so far
+  std::uint32_t seeded_ = 1;   ///< words of x_ that hold state
+};
+
 class Rng {
  public:
   /// Seeded construction; identical seeds produce identical streams.
@@ -133,19 +185,20 @@ class Rng {
   std::vector<int> sample_without_replacement(int n, int k);
 
   /// Access to the underlying engine for std:: distributions.
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
   /// Exact textual serialization of the engine state (the standard
   /// operator<< representation of mt19937_64). restore_state() on any
   /// host resumes the identical stream; used by the snapshot codec.
   std::string save_state() const;
 
-  /// Restore a stream previously captured with save_state(). Throws
-  /// SnapshotError if the text does not parse as an engine state.
+  /// Restore a stream previously captured with save_state() (or by
+  /// operator<< of std::mt19937_64). Throws SnapshotError if the text is
+  /// not exactly such a state.
   void restore_state(const std::string& state);
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace talon

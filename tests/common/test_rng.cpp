@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/common/error.hpp"
 
@@ -163,6 +169,118 @@ TEST(SubstreamSeed, SeparatesNeighbouringCells) {
     if (a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+// --- Stream equivalence with std::mt19937_64 -------------------------------
+//
+// Rng's engine seeds and twists its first block lazily. These tests pin that
+// it is std::mt19937_64 bit for bit: raw outputs, every Rng method, copies,
+// the state text and restores from std-written text, at draw counts that
+// straddle the lazy boundaries -- the first twist chunk, the seed horizon
+// (n - m = 156), the end of the first block (312) and of the second (624).
+
+constexpr int kPositions[] = {0, 1, 2, 155, 156, 157, 311, 312, 313, 623, 624, 625, 2000};
+constexpr int kSeeds = 1000;
+// Draws compared after a copy or restore: past the rest of the first block
+// and through the whole second one from any position above.
+constexpr int kResumeDraws = 700;
+
+std::uint64_t test_seed(int i) {
+  constexpr std::uint64_t kEdges[] = {0, 1, 5489, ~std::uint64_t{0}};
+  if (i < 4) return kEdges[i];
+  // Alternate small seeds with substream-spread ones, as the simulators use.
+  const auto u = static_cast<std::uint64_t>(i);
+  return i % 2 == 0 ? u : substream_seed(20261020, u);
+}
+
+std::string std_state(const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+// Index of the first of `count` draws at which the two engines differ, or
+// -1 if they agree on all of them.
+template <class A, class B>
+int first_mismatch(A& a, B& b, int count) {
+  for (int i = 0; i < count; ++i) {
+    if (a() != b()) return i;
+  }
+  return -1;
+}
+
+TEST(RngStream, EngineMatchesStdStreamCopiesStateTextAndRestores) {
+  for (int i = 0; i < kSeeds; ++i) {
+    const std::uint64_t seed = test_seed(i);
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    int drawn = 0;
+    for (const int position : kPositions) {
+      ASSERT_EQ(first_mismatch(rng.engine(), reference, position - drawn), -1)
+          << "seed " << seed << " before draw " << position;
+      drawn = position;
+      const std::string text = std_state(reference);
+      ASSERT_EQ(rng.save_state(), text) << "seed " << seed << " at draw " << position;
+
+      Rng copy = rng;
+      std::mt19937_64 reference_copy = reference;
+      ASSERT_EQ(first_mismatch(copy.engine(), reference_copy, kResumeDraws), -1)
+          << "copy of seed " << seed << " at draw " << position;
+
+      Rng restored(999);
+      restored.restore_state(text);
+      reference_copy = reference;
+      ASSERT_EQ(first_mismatch(restored.engine(), reference_copy, kResumeDraws), -1)
+          << "restore of seed " << seed << " at draw " << position;
+      ASSERT_EQ(restored.save_state(), std_state(reference_copy));
+    }
+  }
+}
+
+TEST(RngStream, EveryMethodMatchesStdDistributionsOnStdEngine) {
+  for (int i = 0; i < kSeeds; ++i) {
+    const std::uint64_t seed = test_seed(i);
+    for (const int position : kPositions) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int d = 0; d < position; ++d) {
+        rng.engine()();
+        reference();
+      }
+
+      EXPECT_EQ(rng.uniform(-2.0, 3.0),
+                std::uniform_real_distribution<double>(-2.0, 3.0)(reference));
+      EXPECT_EQ(rng.uniform_int(0, 33), std::uniform_int_distribution<int>(0, 33)(reference));
+      EXPECT_EQ(rng.normal(1.5), std::normal_distribution<double>(0.0, 1.5)(reference));
+      EXPECT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(reference));
+
+      // Partial Fisher-Yates over {0..33}, 14 picks, on the std engine.
+      std::vector<int> pool(34);
+      std::iota(pool.begin(), pool.end(), 0);
+      for (std::size_t k = 0; k < 14; ++k) {
+        const auto j = static_cast<std::size_t>(
+            std::uniform_int_distribution<int>(static_cast<int>(k), 33)(reference));
+        std::swap(pool[k], pool[j]);
+      }
+      pool.resize(14);
+      EXPECT_EQ(rng.sample_without_replacement(34, 14), pool);
+
+      std::vector<int> shuffled(34);
+      std::iota(shuffled.begin(), shuffled.end(), 0);
+      std::vector<int> expected = shuffled;
+      std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+      std::shuffle(expected.begin(), expected.end(), reference);
+      EXPECT_EQ(shuffled, expected);
+
+      Rng child = rng.fork();
+      std::mt19937_64 reference_child(std::uniform_int_distribution<std::uint64_t>()(reference));
+      EXPECT_EQ(first_mismatch(child.engine(), reference_child, 320), -1);
+
+      ASSERT_EQ(rng.save_state(), std_state(reference))
+          << "seed " << seed << " after methods from draw " << position;
+      ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed << " from draw " << position;
+    }
+  }
 }
 
 }  // namespace

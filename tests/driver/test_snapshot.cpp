@@ -4,6 +4,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -293,6 +296,81 @@ TEST(Snapshot, RngStateRoundTripResumesTheExactStream) {
     EXPECT_EQ(resumed.uniform(0.0, 1.0), expected[static_cast<std::size_t>(i)]);
   }
   EXPECT_THROW(resumed.restore_state("not an engine state"), SnapshotError);
+}
+
+// The rng state text is a snapshot ingest boundary: std::mt19937_64's own
+// operator>> accepts an out-of-range index (then yields a different stream)
+// and ignores trailing junk, so the parser must refuse both itself.
+TEST(Snapshot, RngStateRejectsMalformedTextAndLeavesTheStreamAlone) {
+  Rng rng(42);
+  for (int i = 0; i < 100; ++i) rng.uniform(0.0, 1.0);
+  const std::string valid = rng.save_state();
+  const std::string words = valid.substr(0, valid.rfind(' ') + 1);  // 312 words + ' '
+  const std::string first_word = valid.substr(0, valid.find(' '));
+  const std::string rest = valid.substr(valid.find(' '));
+
+  const std::vector<std::string> malformed = {
+      "",
+      "   ",
+      words + "999",
+      words + "313",
+      words + "-1",
+      words + "+100",
+      words + "100 junk",
+      words + "100junk",
+      words + "100 7",
+      words,                                        // no index
+      valid.substr(valid.find(' ') + 1),            // 311 words + index
+      first_word + " " + valid,                     // 313 words + index
+      "18446744073709551616" + rest,                // word overflows 64 bits
+      "-" + valid,                                  // signed word
+      "+" + valid,
+      "0x1" + rest,                                 // not decimal
+      first_word + "a" + rest,
+  };
+  Rng target(7);
+  for (int i = 0; i < 5; ++i) target.uniform(0.0, 1.0);
+  const std::string before = target.save_state();
+  for (const std::string& text : malformed) {
+    EXPECT_THROW(target.restore_state(text), SnapshotError) << '"' << text.substr(0, 40) << '"';
+    EXPECT_EQ(target.save_state(), before) << "a refused text must not touch the stream";
+  }
+}
+
+TEST(Snapshot, RngStateLoadsEveryTextTheStdEngineWrites) {
+  // A never-drawn engine prints index 312, a drawn one 1..312; any
+  // whitespace between and around the tokens is accepted. Each text loads,
+  // prints back as std prints it, and resumes the std stream exactly.
+  for (const int drawn : {0, 1, 311, 312, 313, 624}) {
+    std::mt19937_64 reference(5489);
+    for (int i = 0; i < drawn; ++i) reference();
+    std::ostringstream out;
+    out << reference;
+    std::string spaced = out.str();
+    for (char& c : spaced) {
+      if (c == ' ') c = '\n';
+    }
+    for (const std::string& text : {out.str(), spaced, "  " + out.str() + " \t\n"}) {
+      Rng rng(1);
+      rng.restore_state(text);
+      EXPECT_EQ(rng.save_state(), out.str()) << "after " << drawn << " draws";
+      std::mt19937_64 expected = reference;
+      for (int i = 0; i < 400; ++i) ASSERT_EQ(rng.engine()(), expected()) << "draw " << i;
+    }
+  }
+
+  // Index 0 (std never prints it, but it is in range): the block after 313
+  // draws, rewound to its start, is the stream after 312 draws.
+  std::mt19937_64 reference(5489);
+  for (int i = 0; i < 313; ++i) reference();
+  std::ostringstream out;
+  out << reference;
+  const std::string at_313 = out.str();
+  Rng rng(1);
+  rng.restore_state(at_313.substr(0, at_313.rfind(' ') + 1) + "0");
+  std::mt19937_64 expected(5489);
+  for (int i = 0; i < 312; ++i) expected();
+  for (int i = 0; i < 400; ++i) ASSERT_EQ(rng.engine()(), expected()) << "draw " << i;
 }
 
 }  // namespace
