@@ -10,15 +10,16 @@
 namespace talon {
 namespace {
 
+/// Max reports popped per drain cycle before the cycle's links are
+/// processed: bounds per-cycle memory and keeps latency bounded under a
+/// full queue.
+constexpr std::size_t kDrainBatch = 1024;
+
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::string link_label(int link_id) {
-  return "link=\"" + std::to_string(link_id) + "\"";
 }
 
 }  // namespace
@@ -28,8 +29,9 @@ ServeDaemon::ServeDaemon(std::shared_ptr<const PatternAssets> assets,
     : daemon_(assets, session_defaults),
       session_defaults_(session_defaults),
       config_(config),
-      epoch_(std::move(assets)),
-      queue_(config.queue_capacity) {}
+      assets_(std::move(assets)),
+      queue_(config.queue_capacity),
+      swaps_(telemetry_.counter("serve_assets_swaps_total")) {}
 
 ServeDaemon::~ServeDaemon() { stop(); }
 
@@ -45,24 +47,16 @@ LinkSession& ServeDaemon::add_link(int link_id, Rng rng,
   // Register against the CURRENT assets generation so links added after
   // a hot swap never start on a retired table.
   LinkSession& session =
-      daemon_.add_headless_link(link_id, rng, config, epoch_.current());
-  claims_.emplace(link_id, std::make_unique<std::atomic<std::uint64_t>>(0));
-  LinkIngest& ingest = ingest_[link_id];
-  ingest.link_id = link_id;
+      daemon_.add_headless_link(link_id, rng, config, current_assets());
+  ingest_[link_id].link_id = link_id;
   return session;
 }
 
 void ServeDaemon::enqueue(SweepReport report) {
-  auto it = claims_.find(report.link_id);
-  if (it == claims_.end()) {
+  if (!ingest_.contains(report.link_id)) {
     throw StateError("no serving session for link id " +
                      std::to_string(report.link_id));
   }
-  // Claim the per-link FIFO ticket, then push until the queue takes it.
-  // The claim-before-push order is what the consumer's reorder buffer
-  // relies on: every claimed ticket is eventually pushed, so a gap in
-  // the arrival order is always transient.
-  report.seq = it->second->fetch_add(1, std::memory_order_relaxed);
   if (config_.measure_latency) report.submit_ns = steady_now_ns();
   while (!queue_.try_push(report)) {
     std::this_thread::yield();
@@ -71,10 +65,10 @@ void ServeDaemon::enqueue(SweepReport report) {
 }
 
 bool ServeDaemon::try_submit(int link_id, std::vector<SectorReading> readings) {
-  // The fullness probe runs BEFORE the ticket claim: once claimed, the
-  // push must complete (see enqueue), so rejection must happen here.
-  // approx_size is a snapshot -- a racing burst can still force enqueue
-  // to spin briefly -- but a full queue is reliably rejected.
+  // enqueue() pushes until the queue takes the report, so rejection must
+  // happen here. approx_size is a snapshot -- a racing burst can still
+  // force enqueue to spin briefly -- but a full queue is reliably
+  // rejected.
   if (queue_.approx_size() >= queue_.capacity()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -97,44 +91,23 @@ void ServeDaemon::route(SweepReport report) {
   auto it = ingest_.find(report.link_id);
   TALON_EXPECTS(it != ingest_.end());
   LinkIngest& ingest = it->second;
-  if (report.seq != ingest.next_seq) {
-    // Arrived ahead of a ticket still being pushed; hold it back.
-    ingest.stash.emplace(report.seq, std::move(report));
-    return;
-  }
+  // process_link() empties `ready`, so an empty one marks the link's
+  // first report of this cycle.
+  if (ingest.ready.empty()) cycle_links_.push_back(&ingest);
   ingest.ready.push_back(std::move(report));
-  ++ingest.next_seq;
-  // Release any successors the stash was holding.
-  for (auto next = ingest.stash.find(ingest.next_seq);
-       next != ingest.stash.end();
-       next = ingest.stash.find(ingest.next_seq)) {
-    ingest.ready.push_back(std::move(next->second));
-    ingest.stash.erase(next);
-    ++ingest.next_seq;
-  }
-  if (!ingest.in_cycle) {
-    ingest.in_cycle = true;
-    cycle_links_.push_back(&ingest);
-  }
 }
 
-void ServeDaemon::process_link(LinkIngest& ingest) {
+void ServeDaemon::process_link(
+    LinkIngest& ingest, const std::shared_ptr<const PatternAssets>& assets) {
   if (ingest.quarantined) {
     dropped_.fetch_add(ingest.ready.size(), std::memory_order_relaxed);
     ingest.ready.clear();
-    ingest.in_cycle = false;
     return;
   }
   LinkSession& session = daemon_.session(ingest.link_id);
-  {
-    // Epoch-pinned staleness check: a raw pointer compare against the
-    // pinned current generation. Rebinding takes the slow path once per
-    // swap per link; every other round costs two loads.
-    AssetsEpoch::ReadGuard guard = epoch_.read();
-    if (guard.get() != session.assets().get()) {
-      session.rebind_assets(epoch_.current());
-      rebinds_.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (assets != session.assets()) {
+    session.rebind_assets(assets);
+    rebinds_.fetch_add(1, std::memory_order_relaxed);
   }
   LatencyHistogram* latency =
       config_.measure_latency
@@ -163,26 +136,29 @@ void ServeDaemon::process_link(LinkIngest& ingest) {
     }
   }
   ingest.ready.clear();
-  ingest.in_cycle = false;
 }
 
 std::size_t ServeDaemon::drain_cycle() {
   cycle_links_.clear();
   SweepReport report;
   std::size_t popped = 0;
-  while (popped < config_.drain_batch && queue_.try_pop(report)) {
+  while (popped < kDrainBatch && queue_.try_pop(report)) {
     ++popped;
     route(std::move(report));
   }
   if (!cycle_links_.empty()) {
+    // One snapshot per cycle, taken after the pops: every report popped
+    // here was pushed before this lock, so a report accepted after
+    // swap_assets() returned is served on the new generation.
+    const std::shared_ptr<const PatternAssets> assets = current_assets();
     std::lock_guard<std::mutex> lock(cycle_mutex_);
     drain_cycles_.fetch_add(1, std::memory_order_relaxed);
     // Fan the cycle's links over the worker pool. Each link is owned by
-    // exactly one index, its reports already in ticket order, so the
+    // exactly one index, its reports already in pop order, so the
     // outcome is independent of the thread count.
     parallel_for(
         cycle_links_.size(),
-        [this](std::size_t i) { process_link(*cycle_links_[i]); },
+        [this, &assets](std::size_t i) { process_link(*cycle_links_[i], assets); },
         ParallelOptions{.threads = config_.threads});
   }
   return popped;
@@ -226,8 +202,15 @@ std::size_t ServeDaemon::drain_all() {
 }
 
 void ServeDaemon::swap_assets(std::shared_ptr<const PatternAssets> next) {
-  epoch_.swap(std::move(next));
-  telemetry_.counter("serve_assets_swaps_total").inc();
+  TALON_EXPECTS(next != nullptr);
+  std::lock_guard<std::mutex> lock(assets_mutex_);
+  assets_ = std::move(next);
+  swaps_.inc();
+}
+
+std::shared_ptr<const PatternAssets> ServeDaemon::current_assets() const {
+  std::lock_guard<std::mutex> lock(assets_mutex_);
+  return assets_;
 }
 
 void ServeDaemon::publish_session_metrics() {
@@ -278,7 +261,7 @@ void ServeDaemon::publish_session_metrics() {
   telemetry_.counter("serve_lifecycle_recoveries_total").set(lifecycle.recoveries);
 
   // PR4/PR8 panel-cache traffic of the current assets generation.
-  const auto cache = daemon_.assets()->engine().response_matrix().cache_stats();
+  const auto cache = current_assets()->engine().response_matrix().cache_stats();
   telemetry_.counter("serve_panel_cache_hits_total").set(cache.hits);
   telemetry_.counter("serve_panel_cache_misses_total").set(cache.misses);
   const std::uint64_t lookups = cache.hits + cache.misses;
@@ -286,21 +269,6 @@ void ServeDaemon::publish_session_metrics() {
       .set(lookups == 0 ? 0.0
                         : static_cast<double>(cache.hits) /
                               static_cast<double>(lookups));
-
-  if (config_.per_link_metrics) {
-    for (int id : daemon_.link_ids()) {
-      const LinkSession& session = daemon_.session(id);
-      const std::string label = link_label(id);
-      telemetry_.counter("serve_link_rounds_total", label).set(session.rounds());
-      telemetry_.gauge("serve_link_state", label)
-          .set(static_cast<double>(
-              static_cast<std::uint8_t>(session.lifecycle().state())));
-      if (session.last_installed_sector()) {
-        telemetry_.gauge("serve_link_sector", label)
-            .set(static_cast<double>(*session.last_installed_sector()));
-      }
-    }
-  }
 }
 
 std::string ServeDaemon::scrape() {

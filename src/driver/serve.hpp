@@ -8,26 +8,29 @@
 // reports into a lock-free MPSC queue and return immediately; one
 // consumer drains the queue, groups the reports per link, and fans the
 // per-link selection work over the process worker pool
-// (common/parallel.hpp). Three guarantees anchor the design:
+// (common/parallel.hpp). Four guarantees anchor the design:
 //
 //  * ZERO silent drops -- the bounded queue rejects a push only back to
 //    the submitting caller (backpressure), and every accepted report is
 //    processed exactly once, including across stop() and hot swaps;
-//  * PER-LINK FIFO at N producers -- submit() claims a per-link ticket
-//    before enqueueing, and the consumer holds a report back until its
-//    ticket is next for that link, so a link's reports are processed in
-//    claim order no matter how producer pushes interleave. Processing is
-//    therefore bit-identical to feeding the same per-link sequences
-//    through the synchronous API, at ANY thread count;
+//  * PER-PRODUCER FIFO per link -- the queue pops in claim order, and a
+//    producer's pushes claim in program order, so each producer's
+//    reports for a link are processed in the order it submitted them.
+//    Feeding the same per-link sequences from one thread is therefore
+//    bit-identical to the synchronous API at ANY worker-thread count.
+//    Reports two producers race onto one link have no defined order;
+//    none is lost or served twice;
 //  * PER-LINK fault containment -- a report whose processing throws
 //    quarantines its link: the error is counted, that report and every
 //    later one for the link are dropped and counted, and every other link
 //    keeps being served;
-//  * NON-BLOCKING hot reload -- swap_assets() publishes a new
-//    PatternAssets generation through an epoch-based RCU domain
-//    (core/assets_epoch.hpp); workers pin an epoch, compare pointers,
-//    and lazily rebind their link's session between rounds. No reader
-//    ever stalls on the writer and no torn table is ever observed.
+//  * HOT reload between cycles -- swap_assets() replaces the current
+//    PatternAssets generation under a mutex. Each drain cycle copies that
+//    pointer once, after popping its reports, and a link whose session
+//    rides another generation rebinds before its reports are served. A
+//    report accepted after swap_assets() returns is therefore served on
+//    the new generation; sessions own their generation through their own
+//    shared_ptr, so a retired table lives until its last session rebinds.
 //
 // Telemetry: every counter the daemon's layers accumulate -- ingest and
 // processing totals, PR5 fault/degradation counters, PR7 lifecycle
@@ -38,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,7 +49,6 @@
 #include <vector>
 
 #include "src/common/mpsc_queue.hpp"
-#include "src/core/assets_epoch.hpp"
 #include "src/driver/css_daemon.hpp"
 #include "src/driver/telemetry.hpp"
 
@@ -57,8 +58,6 @@ namespace talon {
 struct SweepReport {
   int link_id{0};
   std::vector<SectorReading> readings;
-  /// Per-link FIFO ticket, stamped by submit().
-  std::uint64_t seq{0};
   /// steady_clock nanoseconds at submission (0 = latency not measured).
   std::uint64_t submit_ns{0};
 };
@@ -69,18 +68,11 @@ struct ServeConfig {
   /// Worker threads for the per-link selection fan-out; <= 0 uses
   /// default_thread_count() (the --threads / TALON_THREADS plumbing).
   int threads{0};
-  /// Max reports popped per drain cycle before the cycle's links are
-  /// processed (bounds per-cycle memory and keeps latency bounded under
-  /// a full queue).
-  std::size_t drain_batch{1024};
   /// Stamp reports with the submission time and record the selection
   /// latency histogram. Off = the telemetry output is fully
   /// deterministic (the determinism tests compare scrapes byte for
   /// byte).
   bool measure_latency{true};
-  /// Also publish per-link series (rounds, lifecycle state) at scrape
-  /// time. Off by default: at 10k links the text output gets large.
-  bool per_link_metrics{false};
 };
 
 class ServeDaemon {
@@ -131,16 +123,14 @@ class ServeDaemon {
 
   // --- hot reload -----------------------------------------------------------
 
-  /// Publish a new assets generation; selection threads rebind lazily
-  /// between rounds, without stalling. Safe while the consumer runs.
+  /// Publish a new assets generation; sessions rebind at the next drain
+  /// cycle that serves one of their reports. Safe while the consumer runs.
   void swap_assets(std::shared_ptr<const PatternAssets> next);
 
-  std::shared_ptr<const PatternAssets> current_assets() const {
-    return epoch_.current();
-  }
+  std::shared_ptr<const PatternAssets> current_assets() const;
 
-  /// Swap count so far.
-  std::uint64_t assets_epoch() const { return epoch_.epoch(); }
+  /// Swap count so far (the serve_assets_swaps_total counter).
+  std::uint64_t assets_epoch() const { return swaps_.value(); }
 
   // --- observability --------------------------------------------------------
 
@@ -176,16 +166,11 @@ class ServeDaemon {
   std::string scrape();
 
  private:
-  /// Consumer-side per-link reorder state (only the consumer touches it).
+  /// Consumer-side per-link state (only the consumer touches it).
   struct LinkIngest {
     int link_id{0};
-    /// Next ticket to process for this link.
-    std::uint64_t next_seq{0};
-    /// Reports that arrived ahead of their ticket.
-    std::map<std::uint64_t, SweepReport> stash;
-    /// In-order reports released for the current cycle.
+    /// The link's reports popped in the current cycle, in pop order.
     std::vector<SweepReport> ready;
-    bool in_cycle{false};
     /// Set when processing one of the link's reports threw.
     bool quarantined{false};
   };
@@ -193,22 +178,24 @@ class ServeDaemon {
   void enqueue(SweepReport report);
   void route(SweepReport report);
   std::size_t drain_cycle();
-  void process_link(LinkIngest& ingest);
+  void process_link(LinkIngest& ingest,
+                    const std::shared_ptr<const PatternAssets>& assets);
   void run_consumer();
   void publish_session_metrics();
 
   CssDaemon daemon_;
   CssDaemonConfig session_defaults_;
   ServeConfig config_;
-  AssetsEpoch epoch_;
+  /// The current assets generation; swap_assets() replaces it.
+  mutable std::mutex assets_mutex_;
+  std::shared_ptr<const PatternAssets> assets_;
   MpscQueue<SweepReport> queue_;
   TelemetryRegistry telemetry_;
+  TelemetryCounter& swaps_;
 
-  /// Per-link producer-side ticket counters; the map is frozen while the
-  /// consumer runs (add_link requires stopped), so producers only ever
-  /// read it.
-  std::unordered_map<int, std::unique_ptr<std::atomic<std::uint64_t>>> claims_;
-  /// Consumer-side reorder state, same freeze discipline.
+  /// Consumer-side per-link state. The map is frozen while the consumer
+  /// runs (add_link requires stopped), so producers may look links up in
+  /// it.
   std::unordered_map<int, LinkIngest> ingest_;
   /// Links with ready reports in the current drain cycle.
   std::vector<LinkIngest*> cycle_links_;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -55,6 +56,17 @@ std::string without_cache_lines(const std::string& scrape) {
     out += '\n';
   }
   return out;
+}
+
+/// The value of the unlabelled counter `name` in a scrape.
+std::uint64_t scraped_counter(const std::string& scrape, const std::string& name) {
+  std::istringstream in(scrape);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(name + " ", 0) == 0) return std::stoull(line.substr(name.size() + 1));
+  }
+  ADD_FAILURE() << name << " is missing from the scrape";
+  return 0;
 }
 
 TEST(ServeDeterminism, AsyncMatchesSyncBitIdenticallyAtAnyThreadCount) {
@@ -177,6 +189,18 @@ TEST(ServeDeterminism, HotSwapMidStreamDropsNothingAndRebindsEveryLink) {
   bool saturated = true;
   latency.quantile_bound_us(0.99, &saturated);
   EXPECT_FALSE(saturated);
+
+  // The scrape's panel-cache series follow the current generation. The
+  // sessions above select through the confidence path, whose one-shot
+  // subsets skip the panel cache; a link on the default config builds a
+  // panel for its report on the new generation.
+  serve.add_link(kSwapLinks, link_rng(kSwapLinks), CssDaemonConfig{});
+  serve.submit(kSwapLinks, make_report(kReportSeed, kSwapLinks, 0, assets->patterns()));
+  serve.drain_all();
+  const std::uint64_t misses =
+      recalibrated->engine().response_matrix().cache_stats().misses;
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(scraped_counter(serve.scrape(), "serve_panel_cache_misses_total"), misses);
 }
 
 TEST(ServeDeterminism, TrySubmitAppliesBackpressureWhenFull) {
@@ -210,8 +234,9 @@ TEST(ServeDeterminism, ConcurrentProducersOnOneLinkLoseNothing) {
   serve.add_link(0, link_rng(0));
   serve.start();
 
-  // Three producers hammer the SAME link; per-link FIFO means processing
-  // follows ticket-claim order, and nothing is lost or duplicated.
+  // Three producers hammer the SAME link. Each producer's reports are
+  // served in its own submission order, the three streams interleave in
+  // queue-claim order, and nothing is lost or duplicated.
   constexpr int kProducers = 3;
   constexpr std::uint64_t kPerProducer = 150;
   std::vector<std::thread> producers;
@@ -229,6 +254,103 @@ TEST(ServeDeterminism, ConcurrentProducersOnOneLinkLoseNothing) {
   EXPECT_EQ(serve.submitted(), kProducers * kPerProducer);
   EXPECT_EQ(serve.processed(), serve.submitted());
   EXPECT_EQ(serve.daemon().session(0).rounds(), kProducers * kPerProducer);
+}
+
+TEST(ServeDeterminism, SwapsUnderRacingProducersServeEachReportOnItsGeneration) {
+  // Three producers submit to every link while the consumer runs, and the
+  // writer swaps A -> B -> C once a third of each phase is served. A
+  // report accepted after a swap returns must be served on the new
+  // generation. On the default config each served report makes at most
+  // one panel lookup on its generation, so the older generations' lookups
+  // are bounded by the reports accepted before the swap returned (each
+  // producer may have pushed one report it has not counted yet). After
+  // the producers finish, the writer submits one last report per link, so
+  // every session ends the phase on the new generation, having rebound
+  // exactly once.
+  auto a = make_serve_assets();
+  auto b = make_serve_assets(0.7);
+  auto c = make_serve_assets(1.4);
+  auto lookups = [](const std::shared_ptr<const PatternAssets>& generation) {
+    const auto stats = generation->engine().response_matrix().cache_stats();
+    return stats.hits + stats.misses;
+  };
+  ServeConfig serve_config;
+  serve_config.queue_capacity = 64;  // keeps the producers busy mid-phase
+  serve_config.threads = 2;
+  serve_config.measure_latency = false;
+  ServeDaemon serve(a, {}, serve_config);
+  constexpr int kSwapLinks = 6;
+  constexpr int kProducers = 3;
+  constexpr std::uint64_t kPerProducer = 40;
+  constexpr std::uint64_t kPerPhase = (kProducers * kPerProducer + 1) * kSwapLinks;
+  for (int id = 0; id < kSwapLinks; ++id) serve.add_link(id, link_rng(id));
+
+  std::uint64_t first_round = 0;
+  // Runs one phase; returns the bound on reports accepted before the swap.
+  auto swap_phase = [&](const std::shared_ptr<const PatternAssets>& next) {
+    // Reports are made up front, so the producers push as fast as the
+    // consumer pops and a drain cycle straddling the swap pops reports
+    // from both sides of it.
+    std::vector<std::vector<std::pair<int, std::vector<SectorReading>>>> reports(
+        kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      for (std::uint64_t r = first_round; r < first_round + kPerProducer; ++r) {
+        for (int id = 0; id < kSwapLinks; ++id) {
+          reports[p].emplace_back(id, make_report(kReportSeed + p, id, r, a->patterns()));
+        }
+      }
+    }
+    const std::uint64_t processed_before = serve.processed();
+    serve.start();
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&serve, &reports, p] {
+        for (auto& [link, readings] : reports[p]) serve.submit(link, std::move(readings));
+      });
+    }
+    while (serve.processed() - processed_before < kPerProducer * kSwapLinks) {
+      std::this_thread::yield();
+    }
+    serve.swap_assets(next);
+    const std::uint64_t accepted_before_swap = serve.submitted() + kProducers;
+    for (std::thread& t : producers) t.join();
+    for (int id = 0; id < kSwapLinks; ++id) {
+      serve.submit(id, make_report(kReportSeed, id, first_round + kPerProducer,
+                                   a->patterns()));
+    }
+    serve.stop();
+    first_round += kPerProducer + 1;
+    return accepted_before_swap;
+  };
+
+  const std::uint64_t before_b = swap_phase(b);
+  EXPECT_GT(lookups(a), 0u);
+  EXPECT_LE(lookups(a), before_b);
+  EXPECT_EQ(serve.submitted(), kPerPhase);
+  EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(kSwapLinks));
+  for (int id = 0; id < kSwapLinks; ++id) {
+    EXPECT_EQ(serve.daemon().session(id).assets().get(), b.get()) << "link=" << id;
+  }
+
+  const std::uint64_t before_c = swap_phase(c);
+  EXPECT_GT(lookups(b), 0u);
+  EXPECT_GT(lookups(c), 0u);
+  EXPECT_LE(lookups(a) + lookups(b), before_c);
+  EXPECT_EQ(serve.assets_epoch(), 2u);
+  EXPECT_EQ(serve.submitted(), 2 * kPerPhase);
+  EXPECT_EQ(serve.processed(), serve.submitted());
+  EXPECT_EQ(serve.rejected(), 0u);
+  EXPECT_EQ(serve.dropped(), 0u);
+  EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(2 * kSwapLinks));
+  for (int id = 0; id < kSwapLinks; ++id) {
+    EXPECT_EQ(serve.daemon().session(id).assets().get(), c.get()) << "link=" << id;
+  }
+
+  // Sessions own their generation: with every session on C, the test's
+  // reference is B's last owner.
+  const std::weak_ptr<const PatternAssets> retired = b;
+  b.reset();
+  EXPECT_TRUE(retired.expired());
 }
 
 TEST(ServeDeterminism, GuardsItsSingleConsumerAndTopologyContracts) {
